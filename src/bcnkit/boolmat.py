@@ -211,9 +211,10 @@ class BooleanMatrix:
 
     def to_text(self) -> str:
         """Canonical form: '<rows> <cols>' header, then one 0/1 line per row."""
+        # format() prints the highest column first; reversing puts column 1 first.
+        row_format = f"0{self.cols}b"
         lines = [f"{self.rows} {self.cols}"]
-        for b in self._bits:
-            lines.append("".join(str((b >> j) & 1) for j in range(self.cols)))
+        lines.extend(format(b, row_format)[::-1] for b in self._bits)
         return "\n".join(lines)
 
     @classmethod

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 when the queried property holds, 1 when it does not,
-2 on usage, parse or size errors (and on oracle disagreement).
+2 on usage, parse or size errors, oracle disagreement and internal faults.
 """
 
 from __future__ import annotations
@@ -143,6 +143,16 @@ def cmd_observability(args) -> int:
     return 0 if report.observable else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="bcn",
@@ -153,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, sets=False, witness=False):
         p.add_argument("model", help=".bcn model file")
-        p.add_argument("--max-size", type=int, default=None, metavar="BITS",
+        p.add_argument("--max-size", type=_positive_int, default=None, metavar="BITS",
                        help="override the n+m flat-compilation limit")
         if sets:
             p.add_argument("--sets", required=True, help="JSON set-specification file")
@@ -167,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="emit the algebraic form (L and H)")
     p.add_argument("model")
-    p.add_argument("--max-size", type=int, default=None, metavar="BITS")
+    p.add_argument("--max-size", type=_positive_int, default=None, metavar="BITS")
     p.add_argument("--emit", choices=["algebraic"], default="algebraic")
     p.set_defaults(func=cmd_compile)
 
@@ -204,6 +214,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (oracle.SizeLimitError, compiler.SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Last resort, e.g. RecursionError on very deeply nested rules: an
+        # internal fault must exit 2, never 1, which reads as "fails".
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

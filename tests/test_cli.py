@@ -139,3 +139,28 @@ class TestUsage:
 
     def test_missing_required_sets(self, capsys):
         assert main(["set-controllability", str(MODELS / "toy.bcn")]) == 2
+
+
+class TestExitContract:
+    """An input the engine cannot handle must exit 2, never 1 ("fails")."""
+
+    def test_very_long_rule(self, capsys, tmp_path):
+        mdl = tmp_path / "long.bcn"
+        mdl.write_text("network f\nstates: x1\nx1' = " + " & ".join(["x1"] * 3000) + "\n")
+        code, _, err = run(capsys, "compile", mdl)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_deeply_nested_rule(self, capsys, tmp_path):
+        mdl = tmp_path / "nested.bcn"
+        mdl.write_text("network f\nstates: x1\nx1' = " + "(" * 2000 + "x1" + ")" * 2000 + "\n")
+        code, _, err = run(capsys, "compile", mdl)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_max_size_must_be_positive(self, capsys, value):
+        code, out, err = run(capsys, "controllability", MODELS / "toy.bcn", "--max-size", value)
+        assert code == 2
+        assert out == ""
+        assert "--max-size: must be positive" in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -190,6 +191,64 @@ class TestWitness:
                 z, x = form.successor(j, z), form.successor(j, x)
             assert form.H.column(z) != form.H.column(x)
             assert t == len(controls)
+
+
+def _lands_in_xi(form, z, x, controls):
+    for j in controls:
+        z, x = form.successor(j, z), form.successor(j, x)
+    return form.H.column(z) != form.H.column(x)
+
+
+def _counter_text(n):
+    """The n-bit counter: xk' = xk ^ (u & x1 & ... & x(k-1)), y = x1 & ... & xn."""
+    xs = [f"x{k}" for k in range(1, n + 1)]
+    lines = [f"network counter{n}", "states: " + ", ".join(xs), "inputs: u", "outputs: y"]
+    for k in range(n):
+        lines.append(f"{xs[k]}' = {xs[k]} ^ (" + " & ".join(["u"] + xs[:k]) + ")")
+    lines.append("y = " + " & ".join(xs))
+    return "\n".join(lines) + "\n"
+
+
+class TestWitnessChoice:
+    def test_lexicographically_first_shortest(self):
+        # Among all shortest sequences the witness is the first in
+        # lexicographic order; `ties` makes sure the draws include pairs
+        # where another sequence of the same length also separates them.
+        rng = random.Random(2718)
+        checked = ties = 0
+        for _ in range(200):
+            n, m, p = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2)
+            form = algebraic_form(random_model(rng, n, m, p))
+            controls = range(1, form.control_count + 1)
+            for z, x in partition_pairs(form).theta:
+                wit = distinguishing_witness(form, z, x)
+                if wit is None or wit[1] > 6:
+                    continue
+                landing = (
+                    seq
+                    for t in range(wit[1] + 1)
+                    for seq in itertools.product(controls, repeat=t)
+                    if _lands_in_xi(form, z, x, seq)
+                )
+                first = next(landing)
+                assert wit == (first, len(first)), (n, m, p, z, x)
+                checked += 1
+                ties += next(landing, None) is not None
+        assert checked > 100 and ties > 20
+
+    def test_counter_needs_long_witnesses(self):
+        n = 6
+        form = algebraic_form(parse_network(_counter_text(n)))
+        report = observability_verdict(form, want_witnesses=True)
+        assert report.observable
+        assert max(t for _, t in report.witnesses) == (1 << n) - 2
+        for (z0, x0), (controls, t) in zip(report.theta, report.witnesses):
+            assert t == len(controls)
+            z, x = z0, x0
+            for j in controls:
+                assert form.H.column(z) == form.H.column(x)
+                z, x = form.successor(j, z), form.successor(j, x)
+            assert form.H.column(z) != form.H.column(x)
 
 
 class TestRendering:
