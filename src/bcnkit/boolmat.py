@@ -247,12 +247,13 @@ class LogicalMatrix:
     def __post_init__(self):
         if self.rows < 1:
             raise ShapeError("row count must be positive")
-        if not self.col_index:
+        cols = tuple(self.col_index)
+        if not cols:
             raise ShapeError("a logical matrix needs at least one column")
-        bad = [c for c in self.col_index if not 1 <= c <= self.rows]
-        if bad:
+        if min(cols) < 1 or max(cols) > self.rows:
+            bad = [c for c in cols if not 1 <= c <= self.rows]
             raise ValueError(f"column indices {bad} outside 1..{self.rows}")
-        object.__setattr__(self, "col_index", tuple(self.col_index))
+        object.__setattr__(self, "col_index", cols)
 
     @property
     def cols(self) -> int:

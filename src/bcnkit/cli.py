@@ -29,12 +29,9 @@ def _load_model(path: str) -> netlang.NetworkModel:
 
 
 def _compile(model: netlang.NetworkModel, max_size: int | None) -> compiler.AlgebraicForm:
-    try:
-        if max_size is not None:
-            return compiler.algebraic_form(model, max_vars=max_size)
-        return compiler.algebraic_form(model)
-    except compiler.SizeLimitError as exc:
-        raise CliError(str(exc)) from exc
+    if max_size is not None:
+        return compiler.algebraic_form(model, max_vars=max_size)
+    return compiler.algebraic_form(model)
 
 
 def _emit(title: str, mat) -> None:
@@ -124,10 +121,7 @@ def cmd_observability(args) -> int:
     form = _compile(model, args.max_size)
     if form.p == 0 or form.trivial_output:
         raise CliError("model declares no outputs; observability is undefined")
-    try:
-        report = observe.observability_verdict(form, want_witnesses=args.witness)
-    except observe.SizeLimitError as exc:
-        raise CliError(str(exc)) from exc
+    report = observe.observability_verdict(form, want_witnesses=args.witness)
     cs_row = None
     if args.emit_matrices and report.flags:
         bits = sum(1 << k for k, f in enumerate(report.flags) if f)
@@ -209,10 +203,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (oracle.SizeLimitError, compiler.SizeLimitError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
+        # ValueError covers compiler.SizeLimitError, the one size-limit error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -4,22 +4,32 @@ States, inputs and outputs in vector form identify 1 with the first basis
 vector of dimension 2 and 0 with the second; a tuple of k bits encodes
 (via the Kronecker product of the per-bit vectors) to a single index in
 1..2^k, with the first bit most significant and true sorting first.
+
+Rules are tabulated bit-sliced: over k ordered variables, bit t of a
+Python int holds a value at the assignment decoded from column t+1.
+Each variable is such a periodic mask, each rule is evaluated once with
+its operators applied as int operations, and the resulting truth tables
+are assembled into column indices with no per-column walk of the AST.
+The brute-force oracle keeps its own per-column evaluator (`eval_expr`);
+the only code it shares with this module is the state index codec.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .boolmat import LogicalMatrix
-from .netlang import Expr, NetworkModel, eval_expr, free_vars
+from .netlang import And, Const, Expr, Iff, Implies, NetworkModel, Not, Or, Var, Xor
 
 #: Flat compilation refuses models with more than this many state+input bits.
 MAX_FLAT_VARS = 20
 
 
 class SizeLimitError(ValueError):
-    """The model exceeds the dense-compilation size ceiling."""
+    """A model or pair space exceeds the size ceiling of the requested
+    analysis."""
 
 
 def encode_state(bits: Sequence[int]) -> int:
@@ -40,21 +50,116 @@ def decode_state(index: int, k: int) -> tuple[int, ...]:
     return tuple(1 - ((v >> (k - 1 - i)) & 1) for i in range(k))
 
 
+_BINARY = {
+    And: lambda a, b, full: a & b,
+    Or: lambda a, b, full: a | b,
+    Xor: lambda a, b, full: a ^ b,
+    Implies: lambda a, b, full: (full ^ a) | b,
+    Iff: lambda a, b, full: full ^ a ^ b,
+}
+
+#: Per bit b < 8: byte translation of a binary text that maps '0' (false)
+#: to 1 << b and '1' (true) to 0.
+_FALSE_TO_BIT = tuple(bytes.maketrans(b"01", bytes((1 << b, 0))) for b in range(8))
+
+#: Native format codes of unsigned 1-, 2-, 4- and 8-byte lanes.
+_LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _variable_masks(variables: Sequence[str], width: int) -> dict[str, int]:
+    """Truth table of each variable over the width = 2^k columns.
+
+    Variable i is true where bit k-1-i of the 0-based column is 0: a run
+    of 2^(k-1-i) ones, then as many zeros, repeated.  The repetition is
+    built by doubling, which costs O(width) bits per variable.
+    """
+    k = len(variables)
+    masks = {}
+    for i, name in enumerate(variables):
+        run = 1 << (k - 1 - i)
+        mask = (1 << run) - 1
+        period = 2 * run
+        while period < width:
+            mask |= mask << period
+            period *= 2
+        masks[name] = mask
+    return masks
+
+
+def _truth_table(e: Expr, masks: dict[str, int], full: int, unknown: set[str]) -> int:
+    """Evaluate e over all columns at once, in post-order with an
+    explicit stack so that rule depth is not bound by the recursion
+    limit.  Variables missing from masks are added to unknown."""
+    values: list[int] = []
+    todo = [(e, False)]
+    while todo:
+        node, ready = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name not in masks:
+                unknown.add(node.name)
+            values.append(masks.get(node.name, 0))
+        elif kind is Const:
+            values.append(full if node.value else 0)
+        elif kind is Not:
+            if ready:
+                values.append(full ^ values.pop())
+            else:
+                todo += ((node, True), (node.operand, False))
+        elif kind in _BINARY:
+            if ready:
+                b = values.pop()
+                values.append(_BINARY[kind](values.pop(), b, full))
+            else:
+                todo += ((node, True), (node.right, False), (node.left, False))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return values.pop()
+
+
+def _columns(exprs: Sequence[Expr], variables: Sequence[str]) -> tuple[int, ...]:
+    """Column indices of the 2^r x 2^k logical matrix sending each
+    assignment of the k ordered variables to the tuple of the r
+    expression values (first expression most significant)."""
+    width = 1 << len(variables)
+    full = (1 << width) - 1
+    masks = _variable_masks(variables, width)
+    unknown: set[str] = set()
+    tables = [_truth_table(e, masks, full, unknown) for e in exprs]
+    if unknown:
+        raise ValueError(f"unbound variables {sorted(unknown)}")
+
+    # Column t's index minus 1 has bit pos set where tables[r-1-pos] is
+    # false.  Each table's binary text is spread to one byte per column,
+    # 8 tables share a byte, and the bytes go into little-endian lanes
+    # wide enough for the index: a lane of L bytes holds up to 8L-1 bits
+    # of code plus the carry of the final +1.
+    r = len(tables)
+    lane = 1
+    while 8 * lane <= r:
+        lane *= 2
+    raw = bytearray(lane * width)
+    for byte in range((r + 7) // 8):
+        acc = 0
+        for bit, pos in enumerate(range(8 * byte, min(8 * byte + 8, r))):
+            text = format(tables[r - 1 - pos], f"0{width}b").encode()
+            # Big-endian read puts column t's character in byte t.
+            acc |= int.from_bytes(text.translate(_FALSE_TO_BIT[bit]), "big")
+        raw[byte::lane] = acc.to_bytes(width, "little")
+    ones = int.from_bytes(b"\1".ljust(lane, b"\0") * width, "little")
+    raw = (int.from_bytes(raw, "little") + ones).to_bytes(lane * width, "little")
+    if sys.byteorder == "little" and lane in _LANE_FORMAT:
+        return tuple(memoryview(raw).cast(_LANE_FORMAT[lane]))
+    return tuple(int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane))
+
+
 def structure_matrix(e: Expr, variables: Sequence[str]) -> LogicalMatrix:
     """The 2 x 2^k logical matrix tabulating e over ordered variables.
 
     Column a is the first basis vector exactly when e evaluates to 1 at
     the assignment decoded from a.
     """
-    unknown = free_vars(e) - set(variables)
-    if unknown:
-        raise ValueError(f"unbound variables {sorted(unknown)}")
-    k = len(variables)
-    cols = []
-    for a in range(1, (1 << k) + 1):
-        env = dict(zip(variables, decode_state(a, k)))
-        cols.append(1 if eval_expr(e, env) else 2)
-    return LogicalMatrix(2, tuple(cols))
+    return LogicalMatrix(2, _columns((e,), variables))
 
 
 @dataclass(frozen=True)
@@ -88,8 +193,9 @@ class AlgebraicForm:
 
 
 def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> AlgebraicForm:
-    """Compile by exhaustive truth-table enumeration of all update and
-    output functions."""
+    """Compile by tabulating every update and output rule once over all
+    assignments.  L orders its variables inputs first, so its columns
+    come in one block of 2^n per control."""
     n, m, p = model.n, model.m, model.p
     if n + m > max_vars:
         raise SizeLimitError(
@@ -97,27 +203,11 @@ def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> Algebr
             f"is limited to {max_vars}"
         )
     nn = 1 << n
-
-    l_cols = []
-    for j in range(1, (1 << m) + 1):
-        u_env = dict(zip(model.inputs, decode_state(j, m)))
-        for a in range(1, nn + 1):
-            env = dict(u_env)
-            env.update(zip(model.states, decode_state(a, n)))
-            nxt = tuple(eval_expr(f, env) for f in model.updates)
-            l_cols.append(encode_state(nxt))
-    L = LogicalMatrix(nn, tuple(l_cols))
-
+    L = LogicalMatrix(nn, _columns(model.updates, model.inputs + model.states))
     if p == 0:
         H = LogicalMatrix(1, (1,) * nn)
         return AlgebraicForm(n, m, 0, L, H, trivial_output=True)
-
-    h_cols = []
-    for a in range(1, nn + 1):
-        env = dict(zip(model.states, decode_state(a, n)))
-        y = tuple(eval_expr(h, env) for h in model.output_maps)
-        h_cols.append(encode_state(y))
-    H = LogicalMatrix(1 << p, tuple(h_cols))
+    H = LogicalMatrix(1 << p, _columns(model.output_maps, model.states))
     return AlgebraicForm(n, m, p, L, H)
 
 

@@ -21,15 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolmat import BooleanMatrix
-from .compiler import AlgebraicForm
+from .compiler import AlgebraicForm, SizeLimitError
 from .reach import SetFamily, StateSet, controllability_matrix, index_matrix, set_controllability_matrix
 
 #: Index-map construction refuses pair spaces beyond 2^26 entries.
 MAX_PAIR_BITS = 26
-
-
-class SizeLimitError(ValueError):
-    pass
 
 
 def pair_index(z: int, x: int, n: int) -> int:
@@ -115,13 +111,13 @@ def extended_system(form: AlgebraicForm) -> ExtendedSystem:
     n = form.n
     nn = form.state_count
     maps = []
-    for j in range(1, form.control_count + 1):
-        succ = [form.successor(j, a) for a in range(1, nn + 1)]
+    for j in range(form.control_count):
+        succ = form.L.col_index[j * nn:(j + 1) * nn]
         mp = []
-        for z in range(1, nn + 1):
-            base = (succ[z - 1] - 1) * nn
-            for x in range(1, nn + 1):
-                mp.append(base + succ[x - 1])
+        for sz in succ:
+            base = (sz - 1) * nn
+            for sx in succ:
+                mp.append(base + sx)
         maps.append(tuple(mp))
     return ExtendedSystem(n, form.m, tuple(maps))
 

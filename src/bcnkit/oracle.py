@@ -1,9 +1,12 @@
 """Brute-force ground truth, independent of the matrix machinery.
 
-Everything here simulates the model's expression ASTs directly and
-explores explicit graphs by breadth-first search.  The only shared code
-with the matrix path is the state index codec, so agreement between the
-two is meaningful evidence rather than self-confirmation.
+Everything here simulates the model's expression ASTs directly, one
+assignment at a time with `netlang.eval_expr`, and explores explicit
+graphs by breadth-first search.  The compiler tabulates rules with its
+own bit-sliced evaluator, so the only code shared with the matrix path
+is the state index codec (and the `SizeLimitError` type, re-exported
+here); agreement between the two is meaningful evidence rather than
+self-confirmation.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .boolmat import BooleanMatrix
-from .compiler import decode_state, encode_state
+from .compiler import SizeLimitError, decode_state, encode_state
 from .netlang import (
     And,
     Const,
@@ -27,10 +30,6 @@ from .netlang import (
     Xor,
     eval_expr,
 )
-
-
-class SizeLimitError(ValueError):
-    pass
 
 
 def _step(model: NetworkModel, state: int, control: int) -> int:

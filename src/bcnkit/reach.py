@@ -67,9 +67,9 @@ def one_step_matrix(form: AlgebraicForm) -> BooleanMatrix:
     """Boolean OR of the per-control column blocks of L."""
     nn = form.state_count
     bits = [0] * nn
-    for j in range(1, form.control_count + 1):
-        for a in range(1, nn + 1):
-            bits[form.successor(j, a) - 1] |= 1 << (a - 1)
+    for j in range(form.control_count):
+        for a, nxt in enumerate(form.L.col_index[j * nn:(j + 1) * nn]):
+            bits[nxt - 1] |= 1 << a
     return BooleanMatrix(nn, nn, bits)
 
 

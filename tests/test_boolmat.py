@@ -179,6 +179,10 @@ class TestLogicalMatrix:
         with pytest.raises(ValueError):
             LogicalMatrix(2, (3,))
 
+    def test_bad_indices_listed(self):
+        with pytest.raises(ValueError, match=r"column indices \[0, 3\] outside 1..2"):
+            LogicalMatrix(2, (1, 0, 2, 3))
+
     @given(logicals())
     def test_embedding_round_trip(self, lm):
         assert LogicalMatrix.from_boolean(lm.to_boolean()) == lm

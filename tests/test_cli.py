@@ -164,3 +164,16 @@ class TestExitContract:
         assert code == 2
         assert out == ""
         assert "--max-size: must be positive" in err
+
+    @pytest.mark.parametrize("argv, states, message", [
+        (["compile"], 21, "flat compilation is limited to 20"),
+        (["controllability", "--oracle"], 13, "reach oracle is limited to n+m <= 12"),
+    ])
+    def test_size_limit_exits_2(self, capsys, tmp_path, argv, states, message):
+        names = ", ".join(f"x{i}" for i in range(1, states + 1))
+        rules = "\n".join(f"x{i}' = x{i}" for i in range(1, states + 1))
+        mdl = tmp_path / "big.bcn"
+        mdl.write_text(f"network big\nstates: {names}\n{rules}\n")
+        code, _, err = run(capsys, argv[0], mdl, *argv[1:])
+        assert code == 2
+        assert err.startswith("error:") and message in err

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from bcnkit import netlang, observe, oracle
 from bcnkit.boolmat import LogicalMatrix
 from bcnkit.compiler import (
     SizeLimitError,
@@ -9,7 +12,7 @@ from bcnkit.compiler import (
     render_algebraic,
     structure_matrix,
 )
-from bcnkit.netlang import eval_expr, parse_expr, parse_network
+from bcnkit.netlang import And, NetworkModel, Not, Var, eval_expr, parse_expr, parse_network
 
 # Transcription of the lac-operon transition matrix (64 column indices):
 # the first four control blocks force the all-off state, the rest follow
@@ -76,6 +79,27 @@ class TestStructureMatrix:
         with pytest.raises(ValueError):
             structure_matrix(parse_expr("x1 & z"), ["x1"])
 
+    def test_unbound_variables_all_reported(self):
+        with pytest.raises(ValueError, match=r"unbound variables \['y', 'z'\]"):
+            structure_matrix(parse_expr("z & x1 | !y"), ["x1"])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["!a", "a & b", "a | b", "a ^ b", "a -> b", "a <-> b", "!0", "1 -> a", "b <-> 0"],
+    )
+    def test_operator_matches_eval_expr(self, text):
+        e = parse_expr(text)
+        for variables in (["a", "b"], ["b", "a"], ["a", "c", "b"]):
+            k = len(variables)
+            expect = tuple(
+                1 if eval_expr(e, dict(zip(variables, decode_state(a, k)))) else 2
+                for a in range(1, (1 << k) + 1)
+            )
+            assert structure_matrix(e, variables) == LogicalMatrix(2, expect)
+
+    def test_no_variables(self):
+        assert structure_matrix(parse_expr("1 ^ 0"), []) == LogicalMatrix(2, (1,))
+
     def test_unique_tabulation(self):
         # The structure matrix is the unique logical matrix reproducing the
         # function on every vector-form argument.
@@ -124,6 +148,41 @@ class TestAlgebraicForm:
         form = algebraic_form(model, max_vars=21)
         assert form.n == 21
 
+    def test_deep_rule(self):
+        # A 5000-deep left-nested chain, built as an AST since the parser
+        # recurses; tabulation must not hit the recursion limit.
+        names = ("x1", "x2", "x3")
+        deep = Var("x1")
+        for k in range(5000):
+            deep = And(deep, Var(names[k % 3]))
+        shallow = parse_expr("x1 & x2 & x3")
+
+        def compiled(rule):
+            return algebraic_form(NetworkModel(
+                "deep", names, ("u1",), ("y1",),
+                (rule, Not(Var("u1")), Var("x1")), (rule,),
+            ))
+
+        a, b = compiled(deep), compiled(shallow)
+        assert a.L == b.L and a.H == b.H
+
+    def test_many_outputs(self):
+        # 70 output bits need index lanes wider than any array typecode.
+        states = ("x1", "x2")
+        maps = tuple(Var(states[k % 2]) if k % 3 else Not(Var("x2")) for k in range(70))
+        model = NetworkModel("wide", states, (), tuple(f"y{k}" for k in range(70)),
+                             (Var("x2"), Var("x1")), maps)
+        assert algebraic_form(model).H == LogicalMatrix(1 << 70, _reference_columns(maps, states))
+
+    def test_unbound_variable_in_rule(self):
+        model = NetworkModel("u", ("x1",), (), (), (And(Var("x1"), Var("v")),), ())
+        with pytest.raises(ValueError, match="unbound variables"):
+            algebraic_form(model)
+
+    def test_one_size_limit_error(self):
+        assert observe.SizeLimitError is SizeLimitError
+        assert oracle.SizeLimitError is SizeLimitError
+
     def test_deterministic(self, toy_model):
         a = algebraic_form(toy_model)
         b = algebraic_form(toy_model)
@@ -168,3 +227,55 @@ class TestSimulationEquivalence:
                 nxt = l_dense.stp(u).stp(x)
                 assert nxt.column_support(1) == (_simulate(model, j, a),)
                 assert form.successor(j, a) == _simulate(model, j, a)
+
+
+def _reference_columns(exprs, variables):
+    """Per-column evaluation with eval_expr, the oracle's evaluator."""
+    k = len(variables)
+    cols = []
+    for a in range(1, (1 << k) + 1):
+        env = dict(zip(variables, decode_state(a, k)))
+        cols.append(encode_state([eval_expr(e, env) for e in exprs]))
+    return tuple(cols)
+
+
+def _node_types(e):
+    stack, seen = [e], set()
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif hasattr(node, "left"):
+            stack += (node.left, node.right)
+    return seen
+
+
+class TestDifferential:
+    """The bit-sliced compiler against per-column eval_expr."""
+
+    def test_random_models(self):
+        rng = random.Random(2024)
+        kinds = set()
+        shapes = set()
+        for k in range(300):
+            n = rng.randint(1, 9)
+            m = 0 if k % 10 == 0 else rng.randint(0, min(4, 10 - n))
+            p = 0 if k % 10 == 1 else rng.randint(1, 3)
+            model = oracle.random_model(rng, n, m, p, name=f"d{k}", depth=rng.randint(1, 4))
+            form = algebraic_form(model)
+            expect_l = _reference_columns(model.updates, model.inputs + model.states)
+            assert form.L == LogicalMatrix(1 << n, expect_l), k
+            if p:
+                expect_h = _reference_columns(model.output_maps, model.states)
+                assert form.H == LogicalMatrix(1 << p, expect_h), k
+            else:
+                assert form.trivial_output and form.H == LogicalMatrix(1, (1,) * (1 << n))
+            for e in model.updates + model.output_maps:
+                kinds |= _node_types(e)
+            shapes.add((n + m, m == 0, p == 0))
+        assert kinds == {netlang.Const, netlang.Var, netlang.Not, netlang.And, netlang.Or,
+                         netlang.Xor, netlang.Implies, netlang.Iff}
+        assert max(size for size, _, _ in shapes) == 10
+        assert any(no_inputs for _, no_inputs, _ in shapes)
+        assert any(no_outputs for _, _, no_outputs in shapes)
