@@ -16,7 +16,6 @@ the only code it shares with this module is the state index codec.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,9 +60,6 @@ _BINARY = {
 #: Per bit b < 8: byte translation of a binary text that maps '0' (false)
 #: to 1 << b and '1' (true) to 0.
 _FALSE_TO_BIT = tuple(bytes.maketrans(b"01", bytes((1 << b, 0))) for b in range(8))
-
-#: Native format codes of unsigned 1-, 2-, 4- and 8-byte lanes.
-_LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _variable_masks(variables: Sequence[str], width: int) -> dict[str, int]:
@@ -148,8 +144,6 @@ def _columns(exprs: Sequence[Expr], variables: Sequence[str]) -> tuple[int, ...]
         raw[byte::lane] = acc.to_bytes(width, "little")
     ones = int.from_bytes(b"\1".ljust(lane, b"\0") * width, "little")
     raw = (int.from_bytes(raw, "little") + ones).to_bytes(lane * width, "little")
-    if sys.byteorder == "little" and lane in _LANE_FORMAT:
-        return tuple(memoryview(raw).cast(_LANE_FORMAT[lane]))
     return tuple(int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane))
 
 
