@@ -13,9 +13,10 @@ operation returns a fresh matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
+
+from .record import Record
 
 
 class ShapeError(ValueError):
@@ -181,21 +182,6 @@ class BooleanMatrix:
         right = other if t == other.rows else other.kron(BooleanMatrix.identity(t // other.rows))
         return left.mul(right)
 
-    def power(self, k: int) -> "BooleanMatrix":
-        """k-fold Boolean product of a square matrix with itself, k >= 1.
-
-        Deliberately iterated (not squared) so it matches the defining
-        expansion literally; callers needing speed compute closures instead.
-        """
-        if self.rows != self.cols:
-            raise ShapeError("power of a non-square matrix")
-        if k < 1:
-            raise ValueError("exponent must be >= 1")
-        acc = self
-        for _ in range(k - 1):
-            acc = acc.mul(self)
-        return acc
-
     def transpose(self) -> "BooleanMatrix":
         out = []
         for j in range(self.cols):
@@ -236,11 +222,11 @@ class BooleanMatrix:
         return cls(rows, cols, bits)
 
 
-@dataclass(frozen=True)
-class LogicalMatrix:
+class LogicalMatrix(Record):
     """delta_rows[c1, ..., cr]: column k is the basis vector with a single 1
     in row col_index[k]."""
 
+    __slots__ = ("rows", "col_index")
     rows: int
     col_index: tuple[int, ...]
 

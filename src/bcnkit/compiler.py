@@ -16,11 +16,11 @@ the only code it shares with this module is the state index codec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .boolmat import LogicalMatrix
 from .netlang import And, Const, Expr, Iff, Implies, NetworkModel, Not, Or, Var, Xor
+from .record import Record
 
 #: Flat compilation refuses models with more than this many state+input bits.
 MAX_FLAT_VARS = 20
@@ -156,8 +156,7 @@ def structure_matrix(e: Expr, variables: Sequence[str]) -> LogicalMatrix:
     return LogicalMatrix(2, _columns((e,), variables))
 
 
-@dataclass(frozen=True)
-class AlgebraicForm:
+class AlgebraicForm(Record):
     """x(t+1) = L u(t) x(t), y(t) = H x(t) in vector form.
 
     L has 2^n rows and 2^(n+m) columns; column (j-1)*2^n + a holds the
@@ -166,12 +165,16 @@ class AlgebraicForm:
     logical matrix and trivial_output is set.
     """
 
+    __slots__ = ("n", "m", "p", "L", "H", "trivial_output")
     n: int
     m: int
     p: int
     L: LogicalMatrix
     H: LogicalMatrix
-    trivial_output: bool = False
+    trivial_output: bool
+
+    def __init__(self, n, m, p, L, H, trivial_output=False):
+        super().__init__(n, m, p, L, H, trivial_output)
 
     @property
     def state_count(self) -> int:

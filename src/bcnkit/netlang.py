@@ -18,8 +18,9 @@ states only.  Operator precedence, tightest first:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from .record import Record
 
 
 class NetworkParseError(Exception):
@@ -37,47 +38,47 @@ class UnboundVariable(Exception):
 # -- expression AST ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
+    __slots__ = ("operand",)
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Xor:
+class Xor(Record):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(Record):
+    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
@@ -155,8 +156,8 @@ def _wrap(e: Expr, min_level: int) -> str:
 _PUNCT = ("<->", "->", "!", "&", "^", "|", "(", ")", ",", ":", "'", "=")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(Record):
+    __slots__ = ("kind", "text", "line", "col")
     kind: str  # 'name', 'bit', punctuation literal, or 'eof'
     text: str
     line: int
@@ -288,8 +289,8 @@ def parse_expr(text: str, line_no: int = 1) -> Expr:
 # -- network model ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NetworkModel:
+class NetworkModel(Record):
+    __slots__ = ("name", "states", "inputs", "outputs", "updates", "output_maps")
     name: str
     states: tuple[str, ...]
     inputs: tuple[str, ...]

@@ -18,11 +18,10 @@ as the paper's cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .boolmat import BooleanMatrix
 from .compiler import AlgebraicForm, SizeLimitError
 from .reach import SetFamily, StateSet, controllability_matrix, index_matrix, set_controllability_matrix
+from .record import Record
 
 #: Index-map construction refuses pair spaces beyond 2^26 entries.
 MAX_PAIR_BITS = 26
@@ -43,14 +42,14 @@ def pair_unindex(w: int, n: int) -> tuple[int, int]:
     return (w - 1) // nn + 1, (w - 1) % nn + 1
 
 
-@dataclass(frozen=True)
-class PairPartition:
+class PairPartition(Record):
     """D / Theta / Xi split of the 2^(2n) joint indices.
 
     theta holds only the z < x representatives, in ascending pair-index
     order; theta_ordered and xi hold both orientations.
     """
 
+    __slots__ = ("n", "diagonal", "theta", "theta_ordered", "xi")
     n: int
     diagonal: frozenset[int]
     theta: tuple[tuple[int, int], ...]
@@ -90,12 +89,12 @@ def partition_pairs(form: AlgebraicForm) -> PairPartition:
     )
 
 
-@dataclass(frozen=True)
-class ExtendedSystem:
+class ExtendedSystem(Record):
     """Per-control successor maps on the pair space, kept as index arrays
     (never dense 2^(2n) x 2^(2n) bits).  per_control[j-1][w-1] is the
     1-based pair reached from pair w under control j."""
 
+    __slots__ = ("n", "m", "per_control")
     n: int
     m: int
     per_control: tuple[tuple[int, ...], ...]
@@ -135,8 +134,8 @@ def observability_setup(part: PairPartition) -> tuple[SetFamily, SetFamily]:
     return p0, pd
 
 
-@dataclass(frozen=True)
-class ObservabilityReport:
+class ObservabilityReport(Record):
+    __slots__ = ("observable", "theta", "flags", "witnesses")
     observable: bool
     theta: tuple[tuple[int, int], ...]
     flags: tuple[bool, ...]  # distinguishable, per theta representative
@@ -208,8 +207,8 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
     positive (Theta and Xi are disjoint, so T >= 1)."""
     if form.p == 0 or form.trivial_output:
         raise ValueError("observability needs at least one output")
+    ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
-    ext = extended_system(form)
     dist = _distances(ext, part.xi)
     reps = [pair_index(z, x, form.n) - 1 for z, x in part.theta]
     flags = tuple(dist[w] > 0 for w in reps)
@@ -234,8 +233,8 @@ def distinguishing_witness(
     already in Xi yields the empty sequence with T = 0."""
     if z0 == x0:
         raise ValueError("witness requires two distinct initial states")
+    ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
-    ext = extended_system(form)
     dist = _distances(ext, part.xi)
     return _walk(dist, _first_steps(ext, dist), pair_index(z0, x0, form.n) - 1)
 

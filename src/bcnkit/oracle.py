@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 
 from .boolmat import BooleanMatrix
 from .compiler import SizeLimitError, decode_state, encode_state
@@ -30,6 +29,7 @@ from .netlang import (
     Xor,
     eval_expr,
 )
+from .record import Record
 
 
 def _step(model: NetworkModel, state: int, control: int) -> int:
@@ -43,10 +43,10 @@ def _output(model: NetworkModel, state: int) -> tuple[int, ...]:
     return tuple(eval_expr(h, env) for h in model.output_maps)
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(Record):
     """One-step successor sets over all controls, found by simulation."""
 
+    __slots__ = ("state_count", "successors")
     state_count: int
     successors: tuple[tuple[int, ...], ...]
 

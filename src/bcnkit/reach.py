@@ -10,17 +10,17 @@ initial and destination set families.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .boolmat import BooleanMatrix, ShapeError
 from .compiler import AlgebraicForm, encode_state
+from .record import Record
 
 
-@dataclass(frozen=True)
-class StateSet:
+class StateSet(Record):
     """A subset of the 1..universe state indices; sorted and deduplicated."""
 
+    __slots__ = ("universe", "members")
     universe: int
     members: tuple[int, ...]
 
@@ -38,13 +38,19 @@ class StateSet:
         return acc
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Record):
     """An ordered family of state subsets (order fixes index-matrix columns)."""
 
+    __slots__ = ("universe", "sets", "warnings")
     universe: int
     sets: tuple[StateSet, ...]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    warnings: tuple[str, ...]
+
+    def __init__(self, universe, sets, warnings=()):
+        super().__init__(universe, sets, warnings)
+
+    def _key(self) -> tuple:
+        return self.universe, self.sets
 
     def __post_init__(self):
         if any(s.universe != self.universe for s in self.sets):
@@ -90,10 +96,10 @@ def controllability_matrix(m: BooleanMatrix) -> BooleanMatrix:
         c = nxt
 
 
-@dataclass(frozen=True)
-class ReachReport:
+class ReachReport(Record):
     """Verdicts read off a (set) controllability matrix."""
 
+    __slots__ = ("matrix",)
     matrix: BooleanMatrix
 
     def pair_reachable(self, i: int, j: int) -> bool:

@@ -1,0 +1,52 @@
+"""Immutable value records: the package's one base for plain data types.
+
+A subclass names its fields, in order, in ``__slots__`` (and documents
+their types as class annotations).  A record builds by position or
+keyword, runs ``__post_init__`` when the class defines one, and refuses
+assignment and deletion with ``AttributeError``; ``__post_init__`` may
+normalise a field with ``object.__setattr__``.  Two records are equal
+when they have the same type and equal ``_key()``, which is every field
+unless a subclass narrows it; the hash follows the same key.  The repr
+is ``Name(field=value, ...)``.
+"""
+
+from __future__ import annotations
+
+_set_field = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args), **kwargs)
+            if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            _set_field(self, name, value)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

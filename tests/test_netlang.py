@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from bcnkit.netlang import (
     parse_network,
     pretty,
 )
+from bcnkit.oracle import random_model
 
 TOY = """\
 network toy
@@ -180,3 +183,42 @@ class TestNetworkParsing:
     def test_format_round_trip(self):
         model = parse_network(TOY)
         assert parse_network(format_network(model)) == model
+
+
+class TestParserFuzz:
+    """Single-character edits of valid model texts: every edited text
+    either parses or raises NetworkParseError, and nothing else.  The
+    alphabet holds the language's own characters plus line breaks that
+    `str.splitlines` honours, a tab, a stray symbol and non-ASCII
+    letters and digits."""
+
+    ALPHABET = "x1u2y0_'=:,!&^|()<-># \t\r\x0c\n@\u00e9\u00b2"
+    MODELS = 6
+    EDITS = 2000
+
+    def test_single_character_edits(self):
+        rng = random.Random(2024)
+        parsed = 0
+        for k in range(self.MODELS):
+            model = random_model(rng, rng.randint(1, 3), rng.randint(0, 2),
+                                 rng.randint(0, 2), name=f"f{k}", depth=3)
+            text = format_network(model)
+            assert parse_network(text) == model
+            for _ in range(self.EDITS):
+                i = rng.randrange(len(text))
+                op = rng.randrange(3)
+                ch = rng.choice(self.ALPHABET)
+                if op == 0:
+                    edited = text[:i] + text[i + 1:]
+                elif op == 1:
+                    edited = text[:i] + ch + text[i:]
+                else:
+                    edited = text[:i] + ch + text[i + 1:]
+                try:
+                    again = parse_network(edited)
+                except NetworkParseError:
+                    continue
+                parsed += 1
+                assert parse_network(format_network(again)) == again
+        # Both outcomes occur, so the edits reach past the first token.
+        assert 0 < parsed < self.MODELS * self.EDITS

@@ -1,10 +1,13 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from bcnkit import observe
 from bcnkit.boolmat import BooleanMatrix
-from bcnkit.compiler import AlgebraicForm, algebraic_form
+from bcnkit.cli import main
+from bcnkit.compiler import AlgebraicForm, SizeLimitError, algebraic_form
 from bcnkit.netlang import parse_network
 from bcnkit.observe import (
     dense_verdict_row,
@@ -91,6 +94,36 @@ class TestExtendedSystem:
         form = algebraic_form(parse_network("network a\nstates: x1\nx1' = !x1\n"))
         ext = extended_system(form)
         assert ext.per_control[0][pair_index(1, 2, 1) - 1] == pair_index(2, 1, 1)
+
+
+class TestSizeGuard:
+    """The pair-space guard refuses a model before anything of pair-space
+    size is built; lac_case1 (n = 3, 2^6 pairs) stands in for n >= 14."""
+
+    @pytest.fixture
+    def partition_calls(self, monkeypatch):
+        calls = []
+        real = observe.partition_pairs
+        monkeypatch.setattr(observe, "MAX_PAIR_BITS", 4)
+        monkeypatch.setattr(observe, "partition_pairs", lambda form: calls.append(form) or real(form))
+        return calls
+
+    @pytest.mark.parametrize("query", [
+        lambda form: observability_verdict(form, want_witnesses=True),
+        lambda form: distinguishing_witness(form, 1, 2),
+    ], ids=["verdict", "witness"])
+    def test_refused_before_partition(self, partition_calls, lac_case1_form, query):
+        with pytest.raises(SizeLimitError, match=r"2\^6 entries; limit is 2\^4"):
+            query(lac_case1_form)
+        assert partition_calls == []
+
+    def test_cli_exits_2(self, partition_calls, capsys):
+        model = Path(__file__).resolve().parent.parent / "models" / "lac_case1.bcn"
+        assert main(["observability", str(model), "--witness"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "limit is 2^4" in captured.err
+        assert partition_calls == []
 
 
 class TestSetup:

@@ -1,0 +1,118 @@
+"""Value semantics of the package's immutable records, and the start-up
+import set of the `bcn` command."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bcnkit
+import bcnkit.cli  # noqa: F401  (imports every module that defines a record)
+from bcnkit.boolmat import LogicalMatrix
+from bcnkit.compiler import AlgebraicForm
+from bcnkit.netlang import And, Const, NetworkModel, Or, Var
+from bcnkit.reach import SetFamily, StateSet
+from bcnkit.record import Record
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_every_record_declares_its_fields():
+    classes = list(_records())
+    assert len(classes) >= 19
+    for cls in classes:
+        assert tuple(cls.__dict__["__annotations__"]) == cls.__dict__["__slots__"], cls
+
+
+def test_equality_needs_the_same_type():
+    x, y = Var("x"), Var("y")
+    assert And(x, y) == And(Var("x"), Var("y"))
+    assert And(x, y) != Or(x, y)
+    assert And(x, y) != And(y, x)
+    assert Var("x") != ("x",)
+    assert Var("x") != "x"
+    assert Const(1) != Var(1)
+
+
+def test_equal_records_hash_equal():
+    a = And(Var("x"), Const(1))
+    b = And(Var("x"), Const(1))
+    assert a is not b and hash(a) == hash(b)
+    assert len({a, b, Or(Var("x"), Const(1))}) == 2
+
+
+def test_keyword_and_positional_construction_agree():
+    fields = dict(name="k", states=("x1",), inputs=(), outputs=(),
+                  updates=(Var("x1"),), output_maps=())
+    by_keyword = NetworkModel(**fields)
+    assert by_keyword == NetworkModel(*fields.values())
+    assert by_keyword == NetworkModel("k", ("x1",), (), (), updates=(Var("x1"),), output_maps=())
+    assert by_keyword.states == ("x1",)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),                                 # missing field
+    (("x", "y"), {}),                         # too many fields
+    ((), {"label": "x"}),                     # unknown field
+    (("x",), {"name": "y"}),                  # field given twice
+])
+def test_bad_construction_rejected(args, kwargs):
+    with pytest.raises(TypeError):
+        Var(*args, **kwargs)
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    v = Var("x")
+    with pytest.raises(AttributeError):
+        v.name = "y"
+    with pytest.raises(AttributeError):
+        del v.name
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert v.name == "x"
+
+
+def test_repr_names_every_field():
+    assert repr(And(Var("x"), Const(1))) == "And(left=Var(name='x'), right=Const(value=1))"
+
+
+def test_set_family_equality_ignores_warnings():
+    s = StateSet(4, (1,))
+    noted = SetFamily(4, (s,), warnings=("note",))
+    assert noted.warnings == ("note",)
+    assert noted == SetFamily(4, (s,))
+    assert hash(noted) == hash(SetFamily(4, (s,)))
+    assert SetFamily(4, (s,)).warnings == ()
+
+
+def test_algebraic_form_defaults_to_a_real_output():
+    form = AlgebraicForm(1, 0, 1, LogicalMatrix(2, (2, 1)), LogicalMatrix(2, (1, 2)))
+    assert form.trivial_output is False
+    assert AlgebraicForm(1, 0, 0, form.L, LogicalMatrix(1, (1, 1)), trivial_output=True).trivial_output
+
+
+def test_post_init_checks_still_run():
+    with pytest.raises(ValueError, match="outside 1..4"):
+        StateSet(4, (0, 5))
+    with pytest.raises(ValueError, match="outside 1..2"):
+        LogicalMatrix(2, (1, 3))
+    assert StateSet(4, (3, 1, 3)).members == (1, 3)
+
+
+def test_cli_import_loads_no_dataclasses():
+    """`bcn` pays for every module it imports on each run, and the records
+    need no `dataclasses`."""
+    src = str(Path(bcnkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = ("import sys; before = set(sys.modules); import bcnkit.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "bcnkit.cli" in added
+    assert "dataclasses" not in added
