@@ -9,11 +9,21 @@ Two representations:
 
 All indices in the public API are 1-based.  Values are immutable; every
 operation returns a fresh matrix.
+
+A product A*B ORs together, for each row of A, the rows of B its set bits
+pick.  The first product with A on the left turns A into a gather plan
+(see `BooleanMatrix._gather_plan`) that is kept on A; every product then
+gathers and ORs rows of B with `operator.itemgetter` and `map`, so the
+Python-level steps per product depend on the shape of A's row supports,
+not on its number of ones.  The reachability closure multiplies the same
+one-step matrix on the left in every round, so it builds one plan.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 from .record import Record
@@ -29,7 +39,7 @@ class BooleanMatrix:
     Row i (1-based) is stored as an int whose bit (j-1) holds entry (i, j).
     """
 
-    __slots__ = ("rows", "cols", "_bits")
+    __slots__ = ("rows", "cols", "_bits", "_plan")
 
     def __init__(self, rows: int, cols: int, row_bits: Iterable[int]):
         if rows < 1 or cols < 1:
@@ -37,12 +47,12 @@ class BooleanMatrix:
         bits = tuple(row_bits)
         if len(bits) != rows:
             raise ShapeError(f"expected {rows} rows, got {len(bits)}")
-        mask = (1 << cols) - 1
-        if any(b & ~mask for b in bits):
+        if min(bits) < 0 or max(bits) >> cols:
             raise ShapeError("row bits exceed declared column count")
         self.rows = rows
         self.cols = cols
         self._bits = bits
+        self._plan = None
 
     # -- constructors -------------------------------------------------
 
@@ -91,9 +101,6 @@ class BooleanMatrix:
             raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
         return (self._bits[i - 1] >> (j - 1)) & 1
 
-    def row_bits(self, i: int) -> int:
-        return self._bits[i - 1]
-
     def column_support(self, j: int) -> tuple[int, ...]:
         """1-based row indices of the 1-entries in column j."""
         if not 1 <= j <= self.cols:
@@ -139,26 +146,61 @@ class BooleanMatrix:
             raise ShapeError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return BooleanMatrix(
-            self.rows, self.cols, (a | b for a, b in zip(self._bits, other._bits))
-        )
+        return BooleanMatrix(self.rows, self.cols, map(or_, self._bits, other._bits))
 
     def mul(self, other: "BooleanMatrix") -> "BooleanMatrix":
-        """Conventional matrix product with AND for *, OR for +."""
+        """Conventional matrix product with AND for *, OR for +.
+
+        Row i of the product is the OR of the right operand's rows picked
+        by the support of row i of self, gathered as `_gather_plan` says.
+        """
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for a in self._bits:
-            acc = 0
-            rest = a
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                acc |= other._bits[j]
-                rest &= rest - 1
-            out.append(acc)
-        return BooleanMatrix(self.rows, other.cols, out)
+        slots, tails, unsort = self._plan or self._gather_plan()
+        ob = other._bits
+        acc = [0] * self.rows
+        for t, (w, get) in enumerate(slots):
+            acc[:w] = map(or_, acc, get(ob)) if t else get(ob)
+        for q, get in tails:
+            acc[q] = reduce(or_, get(ob), acc[q])
+        return BooleanMatrix(self.rows, other.cols, unsort(acc))
+
+    def _gather_plan(self) -> tuple[tuple, tuple, itemgetter]:
+        """How to multiply by any right operand with self on the left.
+
+        Rows are sorted by support size, largest first, so the rows that
+        have a t-th set bit form a prefix, of width w_t, of that order.
+        Slot t < k is (w_t, a getter of those rows' t-th indices): one
+        C-level gather of right-operand rows per slot, ORed into the
+        prefix.  Each of the w_k rows longer than k keeps the rest of its
+        support as a tail, gathered and ORed in one call.  k minimises
+        k + w_k, the Python-level steps per product, so a tall sparse
+        factor runs as a few slots and a short wide one as a few tails.
+        The last getter puts the sorted rows back in their own order.
+
+        The plan is built on first use and kept; matrices are immutable,
+        so it cannot go stale.
+        """
+        supports = [_support(b) for b in self._bits]
+        order = sorted(range(self.rows), key=lambda i: len(supports[i]), reverse=True)
+        ranked = [supports[i] for i in order]
+        # k + w_k is smallest where k is some row's length (or 0); the
+        # first ranked row q of that length has w_k = q rows above it.
+        lengths = [len(s) for s in ranked] + [0]
+        w_k = min(range(len(lengths)), key=lambda q: lengths[q] + q)
+        k = lengths[w_k]
+        slots = []
+        w = self.rows
+        for t in range(k):
+            while len(ranked[w - 1]) <= t:
+                w -= 1
+            slots.append((w, _getter([s[t] for s in ranked[:w]])))
+        tails = tuple((q, _getter(ranked[q][k:])) for q in range(w_k))
+        unsort = _getter(sorted(range(self.rows), key=order.__getitem__))
+        self._plan = tuple(slots), tails, unsort
+        return self._plan
 
     def kron(self, other: "BooleanMatrix") -> "BooleanMatrix":
         """Kronecker product over the Boolean semiring."""
@@ -220,6 +262,23 @@ class BooleanMatrix:
                 raise ValueError(f"bad row line {ln!r}")
             bits.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
         return cls(rows, cols, bits)
+
+
+def _support(b: int) -> list[int]:
+    """0-based positions of the set bits of b, lowest first."""
+    out = []
+    while b:
+        low = b & -b
+        out.append(low.bit_length() - 1)
+        b ^= low
+    return out
+
+
+def _getter(indices: list[int]) -> itemgetter:
+    """An itemgetter that returns a tuple, also for a single index."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
 
 
 class LogicalMatrix(Record):

@@ -23,8 +23,35 @@ from .compiler import AlgebraicForm, SizeLimitError
 from .reach import SetFamily, StateSet, controllability_matrix, index_matrix, set_controllability_matrix
 from .record import Record
 
-#: Index-map construction refuses pair spaces beyond 2^26 entries.
-MAX_PAIR_BITS = 26
+#: Pair-space runs whose estimated peak memory (`pair_space_bytes`)
+#: exceeds this many bytes are refused, half of an 8 GiB machine.
+MAX_PAIR_BYTES = 4 << 30
+
+
+def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
+    """Estimated peak memory of `observability_verdict` with witnesses:
+    4^n * (80 * 2^m + 220) bytes for the per-control maps, predecessor
+    lists, distances, step pointers and pair sets, plus 8 bytes per
+    control in the witnesses (one tuple slot each).
+
+    Fitted to tracemalloc peaks of `observability_verdict(...,
+    want_witnesses=True)` on 24 seeded random models, n = 7-9, m = 0-3
+    (p = 1-2, short witnesses): least squares gives 74 * 2^m + 201 bytes
+    per pair (m = 1: 333-360 measured), rounded up so that every
+    measurement is at most 96% of the estimate.  Long witnesses grow
+    with the total witness length instead, 8^n on the n-bit counter: at
+    n = 9 it measured 275 MB against an estimate of 278 MB.
+    """
+    return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
+
+
+def _check_pair_budget(n: int, m: int, witness_steps: int = 0) -> None:
+    need = pair_space_bytes(n, m, witness_steps)
+    if need > MAX_PAIR_BYTES:
+        raise SizeLimitError(
+            f"pair space of 2^{2 * n} pairs under 2^{m} controls needs an estimated "
+            f"{need:,} bytes; limit is {MAX_PAIR_BYTES:,}"
+        )
 
 
 def pair_index(z: int, x: int, n: int) -> int:
@@ -102,11 +129,9 @@ class ExtendedSystem(Record):
 
 def extended_system(form: AlgebraicForm) -> ExtendedSystem:
     """Pair each column block of L with itself: control j sends (z, x) to
-    (L_j z, L_j x), enumerated directly."""
-    if 2 * form.n > MAX_PAIR_BITS:
-        raise SizeLimitError(
-            f"pair space needs 2^{2 * form.n} entries; limit is 2^{MAX_PAIR_BITS}"
-        )
+    (L_j z, L_j x), enumerated directly.  Refuses a model whose pair
+    space would not fit in `MAX_PAIR_BYTES`, before any of it is built."""
+    _check_pair_budget(form.n, form.m)
     n = form.n
     nn = form.state_count
     maps = []
@@ -213,6 +238,7 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
     reps = [pair_index(z, x, form.n) - 1 for z, x in part.theta]
     flags = tuple(dist[w] > 0 for w in reps)
     if want_witnesses:
+        _check_pair_budget(form.n, form.m, sum(dist[w] for w in reps if dist[w] > 0))
         steps = _first_steps(ext, dist)
         wits = tuple(_walk(dist, steps, w) for w in reps)
     else:

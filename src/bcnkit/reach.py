@@ -31,12 +31,6 @@ class StateSet(Record):
             raise ValueError(f"state indices {bad} outside 1..{self.universe}")
         object.__setattr__(self, "members", ms)
 
-    def indicator_bits(self) -> int:
-        acc = 0
-        for s in self.members:
-            acc |= 1 << (s - 1)
-        return acc
-
 
 class SetFamily(Record):
     """An ordered family of state subsets (order fixes index-matrix columns)."""

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,13 @@ class TestBasics:
             BooleanMatrix(0, 1, [])
         with pytest.raises(ShapeError):
             BooleanMatrix(1, 1, [2])  # bit outside declared width
+
+    def test_bits_outside_columns_rejected(self):
+        with pytest.raises(ShapeError):
+            BooleanMatrix(2, 3, [1, -1])
+        with pytest.raises(ShapeError):
+            BooleanMatrix(2, 3, [0, 1 << 3])
+        assert BooleanMatrix(2, 3, [0, 1 << 2]).get(2, 3) == 1
 
 
 class TestAdd:
@@ -130,6 +139,79 @@ class TestStp:
         a = data.draw(matrices(max_dim=6))
         b = data.draw(matrices(rows=a.cols))
         assert a.stp(b) == a.mul(b)
+
+
+def naive_mul(a, b):
+    """Triple-loop reference product over entries."""
+    return BooleanMatrix.from_rows([
+        [int(any(a.get(i, k) and b.get(k, j) for k in range(1, a.cols + 1)))
+         for j in range(1, b.cols + 1)]
+        for i in range(1, a.rows + 1)
+    ])
+
+
+@st.composite
+def left_factors(draw, max_dim=12):
+    """Left operands with the row supports the gather plan treats apart:
+    any bits, at most one bit per row, some all-zero rows, one full row
+    among sparse rows; shapes include 1 x k and k x 1."""
+    shape = draw(st.sampled_from(["any", "one row", "one column"]))
+    r = 1 if shape == "one row" else draw(st.integers(1, max_dim))
+    c = 1 if shape == "one column" else draw(st.integers(1, max_dim))
+    full = (1 << c) - 1
+    kind = draw(st.sampled_from(["random", "sparse", "zero rows", "full row"]))
+    if kind == "random":
+        bits = [draw(st.integers(0, full)) for _ in range(r)]
+    else:
+        bits = [draw(st.sampled_from([0] + [1 << j for j in range(c)])) for _ in range(r)]
+        if kind == "zero rows":
+            bits = [b if draw(st.booleans()) else 0 for b in bits]
+        elif kind == "full row":
+            bits[draw(st.integers(0, r - 1))] = full
+    return BooleanMatrix(r, c, bits)
+
+
+class TestProduct:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_naive(self, data):
+        a = data.draw(left_factors())
+        b = data.draw(matrices(max_dim=12, rows=a.cols))
+        assert a.mul(b) == naive_mul(a, b)
+
+    @pytest.mark.parametrize("a", [
+        bm([[1, 0, 1, 1]]),
+        bm([[0, 0, 1, 0]]),
+        bm([[0, 0, 0, 0]]),
+        bm([[1], [0], [1]]),
+        bm([[0], [1], [0]]),
+        bm([[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]),
+        bm([[1, 1, 1], [1, 0, 0], [0, 1, 0]]),
+    ], ids=["1x4", "1x4-one-bit", "1x4-zero", "3x1", "3x1-one-bit", "full-row", "skewed"])
+    def test_edge_shapes(self, a):
+        rng = random.Random(a.rows * 31 + a.cols)
+        for cols in (1, 3, 9):
+            b = BooleanMatrix(a.cols, cols, [rng.getrandbits(cols) for _ in range(a.cols)])
+            assert a.mul(b) == naive_mul(a, b)
+
+    def test_one_left_factor_many_right_operands(self):
+        rng = random.Random(5)
+        a = BooleanMatrix(10, 8, [rng.getrandbits(8) & rng.getrandbits(8) for _ in range(10)])
+        a.mul(BooleanMatrix.zeros(8, 1))
+        plan = a._plan
+        for cols in (1, 2, 7, 8, 40):
+            b = BooleanMatrix(8, cols, [rng.getrandbits(cols) for _ in range(8)])
+            assert a.mul(b) == naive_mul(a, b)
+        assert a._plan is plan
+
+    def test_plan_leaves_equality_and_hash(self):
+        a = bm([[1, 0, 1], [0, 1, 0]])
+        b = bm([[1, 0, 1], [0, 1, 0]])
+        a.mul(BooleanMatrix.identity(3))
+        assert a._plan is not None and b._plan is None
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != bm([[1, 0, 1], [0, 1, 1]])
 
 
 class TestPower:

@@ -98,32 +98,58 @@ class TestExtendedSystem:
 
 class TestSizeGuard:
     """The pair-space guard refuses a model before anything of pair-space
-    size is built; lac_case1 (n = 3, 2^6 pairs) stands in for n >= 14."""
+    size is built; with the budget lowered, lac_case1 (n = 3, 2^6 pairs)
+    stands in for a model too large for the machine."""
 
     @pytest.fixture
     def partition_calls(self, monkeypatch):
         calls = []
         real = observe.partition_pairs
-        monkeypatch.setattr(observe, "MAX_PAIR_BITS", 4)
         monkeypatch.setattr(observe, "partition_pairs", lambda form: calls.append(form) or real(form))
         return calls
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(observe, "MAX_PAIR_BYTES", 1000)
 
     @pytest.mark.parametrize("query", [
         lambda form: observability_verdict(form, want_witnesses=True),
         lambda form: distinguishing_witness(form, 1, 2),
     ], ids=["verdict", "witness"])
-    def test_refused_before_partition(self, partition_calls, lac_case1_form, query):
-        with pytest.raises(SizeLimitError, match=r"2\^6 entries; limit is 2\^4"):
+    def test_refused_before_partition(self, partition_calls, small_budget, lac_case1_form, query):
+        with pytest.raises(SizeLimitError, match=r"2\^6 pairs under 2\^\d+ controls .* limit is 1,000$"):
             query(lac_case1_form)
         assert partition_calls == []
 
-    def test_cli_exits_2(self, partition_calls, capsys):
+    def test_cli_exits_2(self, partition_calls, small_budget, capsys):
         model = Path(__file__).resolve().parent.parent / "models" / "lac_case1.bcn"
         assert main(["observability", str(model), "--witness"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "limit is 2^4" in captured.err
+        assert captured.err.startswith("error:") and "limit is 1,000" in captured.err
         assert partition_calls == []
+
+    def test_thirteen_states_refused(self, partition_calls, tmp_path, capsys):
+        # n = 13: 2^26 pairs, about 24 GiB by the estimate at m = 1.
+        form = algebraic_form(parse_network(_counter_text(13)))
+        assert observe.pair_space_bytes(13, 1) > observe.MAX_PAIR_BYTES
+        with pytest.raises(SizeLimitError, match=r"2\^26 pairs"):
+            observability_verdict(form)
+        model = tmp_path / "counter13.bcn"
+        model.write_text(_counter_text(13))
+        assert main(["observability", str(model), "--witness"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert partition_calls == []
+
+    def test_witness_length_counted(self, monkeypatch):
+        # A budget that holds the pair space of the 3-bit counter but not
+        # its witnesses refuses only the run that builds the witnesses.
+        form = algebraic_form(parse_network(_counter_text(3)))
+        monkeypatch.setattr(observe, "MAX_PAIR_BYTES", observe.pair_space_bytes(3, 1))
+        assert observability_verdict(form).observable
+        with pytest.raises(SizeLimitError):
+            observability_verdict(form, want_witnesses=True)
 
 
 class TestSetup:

@@ -5,6 +5,7 @@ import pytest
 from bcnkit.boolmat import BooleanMatrix, LogicalMatrix
 from bcnkit.compiler import algebraic_form
 from bcnkit.netlang import parse_network
+from bcnkit.oracle import reach_oracle
 from bcnkit.reach import (
     ReachReport,
     SetFamily,
@@ -82,6 +83,62 @@ class TestClosure:
         m = BooleanMatrix.from_rows([[0, 0], [1, 0]])
         c = controllability_matrix(m)
         assert c.get(1, 1) == 0 and c.get(2, 2) == 0
+
+
+# The 8-bit counter: xk' = xk ^ (u & x1 & ... & x(k-1)), y = x1 & ... & x8.
+# Its one-step graph is a 256-cycle plus self-loops, so the closure
+# needs 255 rounds before it stops changing.
+COUNTER8 = """\
+network counter8
+states: x1, x2, x3, x4, x5, x6, x7, x8
+inputs: u
+outputs: y
+x1' = x1 ^ (u)
+x2' = x2 ^ (u & x1)
+x3' = x3 ^ (u & x1 & x2)
+x4' = x4 ^ (u & x1 & x2 & x3)
+x5' = x5 ^ (u & x1 & x2 & x3 & x4)
+x6' = x6 ^ (u & x1 & x2 & x3 & x4 & x5)
+x7' = x7 ^ (u & x1 & x2 & x3 & x4 & x5 & x6)
+x8' = x8 ^ (u & x1 & x2 & x3 & x4 & x5 & x6 & x7)
+y = x1 & x2 & x3 & x4 & x5 & x6 & x7 & x8
+"""
+
+
+class TestLongClosure:
+    @pytest.fixture(scope="class")
+    def counter(self):
+        model = parse_network(COUNTER8)
+        return model, algebraic_form(model), reach_oracle(model)
+
+    def test_closure_rounds_and_oracle(self, counter, monkeypatch):
+        _, form, truth = counter
+        rounds = []
+        real = BooleanMatrix.mul
+        monkeypatch.setattr(BooleanMatrix, "mul", lambda a, b: rounds.append(1) or real(a, b))
+        c = controllability_matrix(one_step_matrix(form))
+        assert len(rounds) == 255
+        assert c.is_all_ones()
+        assert c == truth
+
+    def test_products_match_oracle_closure(self, counter):
+        # The expected entries are read off the oracle's closure entry by
+        # entry, without a matrix product.
+        _, form, truth = counter
+        c = controllability_matrix(one_step_matrix(form))
+        initial = [(1,), (2, 200), tuple(range(10, 60))]
+        destination = [(256,), (3, 5, 7), tuple(range(1, 257, 2)), (128,)]
+        j0 = index_matrix(family(256, *initial))
+        jd = index_matrix(family(256, *destination))
+        assert set_controllability_matrix(c, j0, jd) == BooleanMatrix.from_rows([
+            [int(any(truth.get(i, j) for i in dst for j in src)) for src in initial]
+            for dst in destination
+        ])
+        assert output_controllability_matrix(c, form) == BooleanMatrix.from_rows([
+            [int(any(truth.get(i, j) for i in range(1, 257) if form.H.column(i) == v))
+             for j in range(1, 257)]
+            for v in (1, 2)
+        ])
 
 
 class TestVerdicts:
