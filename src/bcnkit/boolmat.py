@@ -112,10 +112,6 @@ class BooleanMatrix:
         full = (1 << self.cols) - 1
         return all(b == full for b in self._bits)
 
-    def column_all_ones(self, j: int) -> bool:
-        m = 1 << (j - 1)
-        return all(b & m for b in self._bits)
-
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -245,24 +241,6 @@ class BooleanMatrix:
         lines.extend(format(b, row_format)[::-1] for b in self._bits)
         return "\n".join(lines)
 
-    @classmethod
-    def from_text(cls, text: str) -> "BooleanMatrix":
-        lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-        if not lines:
-            raise ValueError("empty matrix text")
-        try:
-            rows, cols = map(int, lines[0].split())
-        except ValueError as exc:
-            raise ValueError(f"bad matrix header {lines[0]!r}") from exc
-        if len(lines) != rows + 1:
-            raise ValueError(f"expected {rows} row lines, got {len(lines) - 1}")
-        bits = []
-        for ln in lines[1:]:
-            if len(ln) != cols or set(ln) - {"0", "1"}:
-                raise ValueError(f"bad row line {ln!r}")
-            bits.append(sum(1 << j for j, ch in enumerate(ln) if ch == "1"))
-        return cls(rows, cols, bits)
-
 
 def _support(b: int) -> list[int]:
     """0-based positions of the set bits of b, lowest first."""
@@ -304,10 +282,6 @@ class LogicalMatrix(Record):
     def cols(self) -> int:
         return len(self.col_index)
 
-    @classmethod
-    def identity(cls, n: int) -> "LogicalMatrix":
-        return cls(n, tuple(range(1, n + 1)))
-
     def column(self, k: int) -> int:
         if not 1 <= k <= self.cols:
             raise IndexError(f"column {k} outside 1..{self.cols}")
@@ -319,43 +293,9 @@ class LogicalMatrix(Record):
             bits[c - 1] |= 1 << k
         return BooleanMatrix(self.rows, self.cols, bits)
 
-    @classmethod
-    def from_boolean(cls, mat: BooleanMatrix) -> "LogicalMatrix":
-        """Read back a logical matrix; raises if some column is not a basis
-        vector."""
-        idx = []
-        for j in range(1, mat.cols + 1):
-            support = mat.column_support(j)
-            if len(support) != 1:
-                raise ValueError(f"column {j} is not a basis vector")
-            idx.append(support[0])
-        return cls(mat.rows, tuple(idx))
-
-    def compose(self, other: "LogicalMatrix") -> "LogicalMatrix":
-        """Conventional Boolean product of logical matrices, computed as
-        index composition: column k of the result is self's column picked
-        by other's column k."""
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
-            )
-        return LogicalMatrix(self.rows, tuple(self.col_index[c - 1] for c in other.col_index))
-
     def to_text(self) -> str:
         """Canonical form: 'delta <rows> [c1 c2 ... cr]'."""
         return f"delta {self.rows} [{' '.join(map(str, self.col_index))}]"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LogicalMatrix":
-        s = text.strip()
-        if not s.startswith("delta "):
-            raise ValueError(f"not a logical-matrix literal: {s!r}")
-        head, _, body = s[6:].partition("[")
-        if not body.endswith("]"):
-            raise ValueError("missing closing bracket")
-        rows = int(head.strip())
-        idx = tuple(int(tok) for tok in body[:-1].split())
-        return cls(rows, idx)
 
     def __repr__(self) -> str:
         return f"LogicalMatrix(delta_{self.rows}{list(self.col_index)})"

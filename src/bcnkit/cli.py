@@ -28,12 +28,6 @@ def _load_model(path: str) -> netlang.NetworkModel:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _compile(model: netlang.NetworkModel, max_size: int | None) -> compiler.AlgebraicForm:
-    if max_size is not None:
-        return compiler.algebraic_form(model, max_vars=max_size)
-    return compiler.algebraic_form(model)
-
-
 def _emit(title: str, mat) -> None:
     print(f"{title}:")
     print(mat.to_text())
@@ -41,22 +35,22 @@ def _emit(title: str, mat) -> None:
 
 def cmd_compile(args) -> int:
     model = _load_model(args.model)
-    form = _compile(model, args.max_size)
+    form = compiler.algebraic_form(model, args.max_size)
     print(compiler.render_algebraic(form), end="")
     return 0
 
 
 def cmd_controllability(args) -> int:
     model = _load_model(args.model)
-    form = _compile(model, args.max_size)
+    form = compiler.algebraic_form(model, args.max_size)
     m = reach.one_step_matrix(form)
     c = reach.controllability_matrix(m)
-    report = reach.ReachReport(c)
-    print("controllable" if report.globally_controllable else "not controllable")
+    holds = c.is_all_ones()
+    print("controllable" if holds else "not controllable")
     if args.emit_matrices:
         _emit("M", m)
         _emit("C", c)
-    status = 0 if report.globally_controllable else 1
+    status = 0 if holds else 1
     if args.oracle:
         agree = oracle.reach_oracle(model) == c
         print("oracle: agree" if agree else "oracle: DISAGREE")
@@ -67,7 +61,7 @@ def cmd_controllability(args) -> int:
 
 def cmd_set_controllability(args) -> int:
     model = _load_model(args.model)
-    form = _compile(model, args.max_size)
+    form = compiler.algebraic_form(model, args.max_size)
     try:
         with open(args.sets, encoding="utf-8") as fh:
             p0, pd = reach.load_set_spec(fh.read(), form.n)
@@ -97,8 +91,8 @@ def cmd_set_controllability(args) -> int:
 
 def cmd_output_controllability(args) -> int:
     model = _load_model(args.model)
-    form = _compile(model, args.max_size)
-    if form.p == 0 or form.trivial_output:
+    form = compiler.algebraic_form(model, args.max_size)
+    if form.p == 0:
         raise CliError("model declares no outputs; output controllability is undefined")
     c = reach.controllability_matrix(reach.one_step_matrix(form))
     cy = reach.output_controllability_matrix(c, form)
@@ -118,8 +112,8 @@ def cmd_output_controllability(args) -> int:
 
 def cmd_observability(args) -> int:
     model = _load_model(args.model)
-    form = _compile(model, args.max_size)
-    if form.p == 0 or form.trivial_output:
+    form = compiler.algebraic_form(model, args.max_size)
+    if form.p == 0:
         raise CliError("model declares no outputs; observability is undefined")
     report = observe.observability_verdict(form, want_witnesses=args.witness)
     cs_row = None
@@ -157,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, sets=False, witness=False):
         p.add_argument("model", help=".bcn model file")
-        p.add_argument("--max-size", type=_positive_int, default=None, metavar="BITS",
-                       help="override the n+m flat-compilation limit")
+        p.add_argument("--max-size", type=_positive_int, default=compiler.MAX_FLAT_VARS,
+                       metavar="BITS", help="override the n+m flat-compilation limit")
         if sets:
             p.add_argument("--sets", required=True, help="JSON set-specification file")
         p.add_argument("--emit-matrices", action="store_true",
@@ -171,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="emit the algebraic form (L and H)")
     p.add_argument("model")
-    p.add_argument("--max-size", type=_positive_int, default=None, metavar="BITS")
+    p.add_argument("--max-size", type=_positive_int, default=compiler.MAX_FLAT_VARS, metavar="BITS")
     p.add_argument("--emit", choices=["algebraic"], default="algebraic")
     p.set_defaults(func=cmd_compile)
 

@@ -159,22 +159,18 @@ def structure_matrix(e: Expr, variables: Sequence[str]) -> LogicalMatrix:
 class AlgebraicForm(Record):
     """x(t+1) = L u(t) x(t), y(t) = H x(t) in vector form.
 
-    L has 2^n rows and 2^(n+m) columns; column (j-1)*2^n + a holds the
-    successor of state a under control j.  H has 2^p rows and 2^n
-    columns.  When the model has no outputs, H is the all-ones 1 x 2^n
-    logical matrix and trivial_output is set.
+    L has 2^n rows and 2^(n+m) columns in one block of 2^n per control:
+    `successors` is the only reader of that layout.  H has 2^p rows and
+    2^n columns; when the model has no outputs (p = 0), H is the
+    all-ones 1 x 2^n logical matrix.
     """
 
-    __slots__ = ("n", "m", "p", "L", "H", "trivial_output")
+    __slots__ = ("n", "m", "p", "L", "H")
     n: int
     m: int
     p: int
     L: LogicalMatrix
     H: LogicalMatrix
-    trivial_output: bool
-
-    def __init__(self, n, m, p, L, H, trivial_output=False):
-        super().__init__(n, m, p, L, H, trivial_output)
 
     @property
     def state_count(self) -> int:
@@ -184,9 +180,11 @@ class AlgebraicForm(Record):
     def control_count(self) -> int:
         return 1 << self.m
 
-    def successor(self, j: int, a: int) -> int:
-        """State reached from a under control j (both 1-based indices)."""
-        return self.L.column((j - 1) * self.state_count + a)
+    def successors(self, j: int) -> tuple[int, ...]:
+        """States reached from states 1..2^n under control j (1-based
+        indices throughout): item a-1 is the successor of state a."""
+        nn = self.state_count
+        return self.L.col_index[(j - 1) * nn:j * nn]
 
 
 def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> AlgebraicForm:
@@ -203,8 +201,8 @@ def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> Algebr
     L = LogicalMatrix(nn, _columns(model.updates, model.inputs + model.states))
     if p == 0:
         H = LogicalMatrix(1, (1,) * nn)
-        return AlgebraicForm(n, m, 0, L, H, trivial_output=True)
-    H = LogicalMatrix(1 << p, _columns(model.output_maps, model.states))
+    else:
+        H = LogicalMatrix(1 << p, _columns(model.output_maps, model.states))
     return AlgebraicForm(n, m, p, L, H)
 
 

@@ -112,16 +112,6 @@ def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def free_vars(e: Expr) -> set[str]:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Not):
-        return free_vars(e.operand)
-    return free_vars(e.left) | free_vars(e.right)
-
-
 # Precedence levels; higher binds tighter.
 _LEVEL = {Iff: 1, Implies: 2, Or: 3, Xor: 4, And: 5, Not: 6, Var: 7, Const: 7}
 _OPSYM = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
@@ -201,10 +191,13 @@ def _lex_line(text: str, line_no: int) -> list[_Tok]:
 
 
 class _ExprParser:
+    """One expression's parser; `names` collects every variable it reads."""
+
     def __init__(self, toks: list[_Tok], line: int):
         self.toks = toks
         self.pos = 0
         self.line = line
+        self.names: set[str] = set()
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -278,6 +271,7 @@ class _ExprParser:
         if t.kind == "bit":
             return Const(int(t.text))
         if t.kind == "name":
+            self.names.add(t.text)
             return Var(t.text)
         raise NetworkParseError(f"unexpected token {t.text!r}", t.line, t.col)
 
@@ -388,8 +382,9 @@ def parse_network(text: str) -> NetworkModel:
                 raise NetworkParseError(f"duplicate update rule for {target!r}", no, toks[0].col)
             if len(toks) < 3 or toks[2].kind != "=":
                 raise NetworkParseError("expected '=' in update rule", no, toks[0].col)
-            expr = _ExprParser(toks[3:], no).parse()
-            for v in sorted(free_vars(expr)):
+            parser = _ExprParser(toks[3:], no)
+            expr = parser.parse()
+            for v in sorted(parser.names):
                 if v not in state_set and v not in input_set:
                     raise NetworkParseError(f"unknown variable {v!r} in update rule", no, toks[0].col)
             updates[target] = expr
@@ -401,8 +396,9 @@ def parse_network(text: str) -> NetworkModel:
                 raise NetworkParseError(f"duplicate output rule for {target!r}", no, toks[0].col)
             if len(toks) < 2 or toks[1].kind != "=":
                 raise NetworkParseError("expected '=' in output rule", no, toks[0].col)
-            expr = _ExprParser(toks[2:], no).parse()
-            for v in sorted(free_vars(expr)):
+            parser = _ExprParser(toks[2:], no)
+            expr = parser.parse()
+            for v in sorted(parser.names):
                 if v in input_set:
                     raise NetworkParseError(
                         f"output {target!r} references input {v!r}", no, toks[0].col

@@ -62,13 +62,6 @@ def pair_index(z: int, x: int, n: int) -> int:
     return (z - 1) * nn + x
 
 
-def pair_unindex(w: int, n: int) -> tuple[int, int]:
-    nn = 1 << n
-    if not 1 <= w <= nn * nn:
-        raise IndexError(f"pair index {w} outside 1..{nn * nn}")
-    return (w - 1) // nn + 1, (w - 1) % nn + 1
-
-
 class PairPartition(Record):
     """D / Theta / Xi split of the 2^(2n) joint indices.
 
@@ -116,34 +109,29 @@ def partition_pairs(form: AlgebraicForm) -> PairPartition:
     )
 
 
-class ExtendedSystem(Record):
-    """Per-control successor maps on the pair space, kept as index arrays
-    (never dense 2^(2n) x 2^(2n) bits).  per_control[j-1][w-1] is the
-    1-based pair reached from pair w under control j."""
-
-    __slots__ = ("n", "m", "per_control")
-    n: int
-    m: int
-    per_control: tuple[tuple[int, ...], ...]
+#: Per-control successor maps on the pair space, kept as index arrays
+#: (never dense 2^(2n) x 2^(2n) bits): item j-1 maps the 0-based pair
+#: w-1 to the 1-based pair reached from pair w under control j.
+PairMaps = tuple[tuple[int, ...], ...]
 
 
-def extended_system(form: AlgebraicForm) -> ExtendedSystem:
-    """Pair each column block of L with itself: control j sends (z, x) to
-    (L_j z, L_j x), enumerated directly.  Refuses a model whose pair
-    space would not fit in `MAX_PAIR_BYTES`, before any of it is built."""
+def extended_system(form: AlgebraicForm) -> PairMaps:
+    """Pair each control's successor slice of L with itself: control j
+    sends (z, x) to (L_j z, L_j x), enumerated directly.  Refuses a model
+    whose pair space would not fit in `MAX_PAIR_BYTES`, before any of it
+    is built."""
     _check_pair_budget(form.n, form.m)
-    n = form.n
     nn = form.state_count
     maps = []
-    for j in range(form.control_count):
-        succ = form.L.col_index[j * nn:(j + 1) * nn]
+    for j in range(1, form.control_count + 1):
+        succ = form.successors(j)
         mp = []
         for sz in succ:
             base = (sz - 1) * nn
             for sx in succ:
                 mp.append(base + sx)
         maps.append(tuple(mp))
-    return ExtendedSystem(n, form.m, tuple(maps))
+    return tuple(maps)
 
 
 def observability_setup(part: PairPartition) -> tuple[SetFamily, SetFamily]:
@@ -167,13 +155,13 @@ class ObservabilityReport(Record):
     witnesses: tuple[tuple[tuple[int, ...], int] | None, ...]  # (controls, T)
 
 
-def _distances(ext: ExtendedSystem, xi: frozenset[int]) -> list[int]:
+def _distances(ext: PairMaps, xi: frozenset[int]) -> list[int]:
     """dist[w-1] is the length of a shortest control sequence that drives
     pair w into Xi (0 on Xi itself), or -1 when none does.  One
     multi-source breadth-first search runs backward from all of Xi at
     once over the predecessor lists of the pair graph."""
-    preds: list[list[int]] = [[] for _ in ext.per_control[0]]
-    for mp in ext.per_control:
+    preds: list[list[int]] = [[] for _ in ext[0]]
+    for mp in ext:
         for w, nxt in enumerate(mp):
             preds[nxt - 1].append(w)
     dist = [-1] * len(preds)
@@ -193,7 +181,7 @@ def _distances(ext: ExtendedSystem, xi: frozenset[int]) -> list[int]:
     return dist
 
 
-def _first_steps(ext: ExtendedSystem, dist: list[int]) -> list[tuple[int, int] | None]:
+def _first_steps(ext: PairMaps, dist: list[int]) -> list[tuple[int, int] | None]:
     """Per 0-based pair with a positive distance: the smallest control j
     whose successor is one step closer to Xi, and that successor.
 
@@ -204,7 +192,7 @@ def _first_steps(ext: ExtendedSystem, dist: list[int]) -> list[tuple[int, int] |
     steps: list[tuple[int, int] | None] = [None] * len(dist)
     for w, d in enumerate(dist):
         if d > 0:
-            for j, mp in enumerate(ext.per_control, start=1):
+            for j, mp in enumerate(ext, start=1):
                 nxt = mp[w] - 1
                 if dist[nxt] == d - 1:
                     steps[w] = (j, nxt)
@@ -230,7 +218,7 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
     """Distances to Xi of every pair from one backward search; a Theta
     representative is distinguishable exactly when its distance is
     positive (Theta and Xi are disjoint, so T >= 1)."""
-    if form.p == 0 or form.trivial_output:
+    if form.p == 0:
         raise ValueError("observability needs at least one output")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
@@ -275,7 +263,7 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
     ext = extended_system(form)
     size = 1 << (2 * form.n)
     bits = [0] * size
-    for mp in ext.per_control:
+    for mp in ext:
         for w, nxt in enumerate(mp, start=1):
             bits[nxt - 1] |= 1 << (w - 1)
     m_ext = BooleanMatrix(size, size, bits)

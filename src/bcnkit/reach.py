@@ -10,7 +10,6 @@ initial and destination set families.
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 from .boolmat import BooleanMatrix, ShapeError
 from .compiler import AlgebraicForm, encode_state
@@ -67,8 +66,8 @@ def one_step_matrix(form: AlgebraicForm) -> BooleanMatrix:
     """Boolean OR of the per-control column blocks of L."""
     nn = form.state_count
     bits = [0] * nn
-    for j in range(form.control_count):
-        for a, nxt in enumerate(form.L.col_index[j * nn:(j + 1) * nn]):
+    for j in range(1, form.control_count + 1):
+        for a, nxt in enumerate(form.successors(j)):
             bits[nxt - 1] |= 1 << a
     return BooleanMatrix(nn, nn, bits)
 
@@ -90,23 +89,6 @@ def controllability_matrix(m: BooleanMatrix) -> BooleanMatrix:
         c = nxt
 
 
-class ReachReport(Record):
-    """Verdicts read off a (set) controllability matrix."""
-
-    __slots__ = ("matrix",)
-    matrix: BooleanMatrix
-
-    def pair_reachable(self, i: int, j: int) -> bool:
-        return self.matrix.get(i, j) == 1
-
-    def controllable_at(self, j: int) -> bool:
-        return self.matrix.column_all_ones(j)
-
-    @property
-    def globally_controllable(self) -> bool:
-        return self.matrix.is_all_ones()
-
-
 def index_matrix(family: SetFamily) -> BooleanMatrix:
     """Column k is the 0/1 indicator vector of the k-th set."""
     if not family.sets:
@@ -123,20 +105,6 @@ def set_controllability_matrix(
 ) -> BooleanMatrix:
     """Jd^T * C * J0 over the Boolean semiring (beta x alpha)."""
     return jd.transpose().mul(c).mul(j0)
-
-
-def output_partition(form: AlgebraicForm) -> SetFamily:
-    """Partition of the state space by output value: set j collects the
-    states whose H-column is the j-th basis vector.  Empty classes are
-    retained (as empty sets) so unattained output values still count."""
-    pp = 1 << form.p
-    classes: list[list[int]] = [[] for _ in range(pp)]
-    for a in range(1, form.state_count + 1):
-        classes[form.H.column(a) - 1].append(a)
-    return SetFamily(
-        form.state_count,
-        tuple(StateSet(form.state_count, tuple(cls)) for cls in classes),
-    )
 
 
 def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> BooleanMatrix:

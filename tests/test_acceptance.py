@@ -227,7 +227,7 @@ def test_criterion_9_partition_and_symmetry():
         for _ in range(1000):
             w = rng.choice(diag_list)
             for _ in range(8):
-                w = ext.per_control[rng.randrange(len(ext.per_control))][w - 1]
+                w = ext[rng.randrange(len(ext))][w - 1]
                 assert w in diag
 
     timed(9, "pair partition, orientation symmetry, diagonal absorption", 30.0, body)

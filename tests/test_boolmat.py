@@ -19,13 +19,6 @@ def matrices(draw, max_dim=8, rows=None, cols=None):
     return BooleanMatrix(r, c, bits)
 
 
-@st.composite
-def logicals(draw, max_dim=16):
-    r = draw(st.integers(1, max_dim))
-    c = draw(st.integers(1, max_dim))
-    return LogicalMatrix(r, tuple(draw(st.integers(1, r)) for _ in range(c)))
-
-
 class TestBasics:
     def test_entry_access_and_bounds(self):
         a = bm([[0, 1], [1, 0]])
@@ -246,23 +239,6 @@ class TestPower:
 
 
 class TestLogicalMatrix:
-    def test_double_negation(self):
-        neg = LogicalMatrix(2, (2, 1))
-        assert neg.compose(neg) == LogicalMatrix.identity(2)
-
-    def test_identity_neutral(self):
-        b = LogicalMatrix(4, (3, 1, 4, 2))
-        assert LogicalMatrix.identity(4).compose(b) == b
-
-    def test_index_composition(self):
-        a = LogicalMatrix(2, (1, 2, 2, 2))
-        b = LogicalMatrix(4, (3,))
-        assert a.compose(b) == LogicalMatrix(2, (2,))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            LogicalMatrix(2, (1, 2)).compose(LogicalMatrix(3, (1,)))
-
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             LogicalMatrix(2, (3,))
@@ -271,37 +247,8 @@ class TestLogicalMatrix:
         with pytest.raises(ValueError, match=r"column indices \[0, 3\] outside 1..2"):
             LogicalMatrix(2, (1, 0, 2, 3))
 
-    @given(logicals())
-    def test_embedding_round_trip(self, lm):
-        assert LogicalMatrix.from_boolean(lm.to_boolean()) == lm
-
-    def test_compose_agrees_with_product_exhaustive_small(self):
-        for r in range(1, 4):
-            mats_a = [LogicalMatrix(2, (i, j)) for i in (1, 2) for j in (1, 2)]
-            mats_b = [LogicalMatrix(2, (i,) * r) for i in (1, 2)]
-            for a in mats_a:
-                for b in mats_b:
-                    prod = a.to_boolean().mul(b.to_boolean())
-                    assert a.compose(b).to_boolean() == prod
-
-    @settings(max_examples=150)
-    @given(st.data())
-    def test_compose_agrees_with_product(self, data):
-        a = data.draw(logicals())
-        cols = data.draw(st.integers(1, 16))
-        b = LogicalMatrix(a.cols, tuple(data.draw(st.integers(1, a.cols)) for _ in range(cols)))
-        assert a.compose(b).to_boolean() == a.to_boolean().mul(b.to_boolean())
-
 
 class TestSerialization:
-    @given(matrices())
-    def test_boolean_round_trip(self, a):
-        assert BooleanMatrix.from_text(a.to_text()) == a
-
-    @given(logicals())
-    def test_logical_round_trip(self, lm):
-        assert LogicalMatrix.from_text(lm.to_text()) == lm
-
     def test_canonical_forms(self):
         assert LogicalMatrix(2, (1, 2, 2)).to_text() == "delta 2 [1 2 2]"
         assert bm([[1, 0], [0, 1]]).to_text() == "2 2\n10\n01"

@@ -135,7 +135,7 @@ class TestAlgebraicForm:
 
     def test_no_outputs_flagged(self):
         form = algebraic_form(parse_network("network a\nstates: x1\nx1' = x1\n"))
-        assert form.trivial_output
+        assert form.p == 0
         assert form.H == LogicalMatrix(1, (1, 1))
 
     def test_size_limit(self):
@@ -226,7 +226,7 @@ class TestSimulationEquivalence:
                 x = BooleanMatrix.basis_column(1 << model.n, a)
                 nxt = l_dense.stp(u).stp(x)
                 assert nxt.column_support(1) == (_simulate(model, j, a),)
-                assert form.successor(j, a) == _simulate(model, j, a)
+                assert form.successors(j)[a - 1] == _simulate(model, j, a)
 
 
 def _reference_columns(exprs, variables):
@@ -270,7 +270,12 @@ class TestDifferential:
                 expect_h = _reference_columns(model.output_maps, model.states)
                 assert form.H == LogicalMatrix(1 << p, expect_h), k
             else:
-                assert form.trivial_output and form.H == LogicalMatrix(1, (1,) * (1 << n))
+                assert form.p == 0 and form.H == LogicalMatrix(1, (1,) * (1 << n))
+            blocks = [form.successors(j) for j in range(1, (1 << m) + 1)]
+            assert sum(blocks, ()) == form.L.col_index, k
+            for j, block in enumerate(blocks, start=1):
+                for a in range(1, (1 << n) + 1):
+                    assert block[a - 1] == _simulate(model, j, a), k
             for e in model.updates + model.output_maps:
                 kinds |= _node_types(e)
             shapes.add((n + m, m == 0, p == 0))

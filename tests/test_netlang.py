@@ -152,6 +152,20 @@ class TestNetworkParsing:
         with pytest.raises(NetworkParseError, match="unknown variable"):
             parse_network(bad)
 
+    @pytest.mark.parametrize("rules, error", [
+        (["x1' = zz & x1 | bb ^ aa", "y1 = x1"], "line 5, col 1: unknown variable 'aa' in update rule"),
+        (["x1' = x1", "y1 = x1 -> q2 & q1"], "line 6, col 1: unknown variable 'q1' in output rule"),
+        (["x1' = x1", "y1 = zz | u1 & x1"], "line 6, col 1: output 'y1' references input 'u1'"),
+        (["x1' = x1", "y1 = u1 | aa & x1"], "line 6, col 1: unknown variable 'aa' in output rule"),
+    ])
+    def test_first_bad_name_in_a_rule_reported(self, rules, error):
+        # Of several bad names in one rule, the error names the first in
+        # sorted order, whether it is unknown or an input.
+        text = "network b\nstates: x1\ninputs: u1\noutputs: y1\n" + "\n".join(rules) + "\n"
+        with pytest.raises(NetworkParseError) as info:
+            parse_network(text)
+        assert str(info.value) == error
+
     def test_duplicate_rule_rejected(self):
         bad = "network b\nstates: x1\nx1' = x1\nx1' = !x1\n"
         with pytest.raises(NetworkParseError, match="duplicate update"):

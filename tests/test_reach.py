@@ -7,7 +7,6 @@ from bcnkit.compiler import algebraic_form
 from bcnkit.netlang import parse_network
 from bcnkit.oracle import reach_oracle
 from bcnkit.reach import (
-    ReachReport,
     SetFamily,
     StateSet,
     controllability_matrix,
@@ -15,7 +14,6 @@ from bcnkit.reach import (
     load_set_spec,
     one_step_matrix,
     output_controllability_matrix,
-    output_partition,
     set_controllability_matrix,
 )
 
@@ -141,23 +139,6 @@ class TestLongClosure:
         ])
 
 
-class TestVerdicts:
-    def test_toy_report(self, toy_c):
-        report = ReachReport(toy_c)
-        assert not report.globally_controllable
-        assert report.controllable_at(3)
-        for j in (1, 2, 4):
-            assert not report.controllable_at(j)
-            assert not report.pair_reachable(3, j)
-
-    def test_all_ones(self):
-        assert ReachReport(BooleanMatrix.ones(4, 4)).globally_controllable
-
-    def test_identity(self):
-        report = ReachReport(BooleanMatrix.identity(4))
-        assert not any(report.controllable_at(j) for j in range(1, 5))
-
-
 class TestIndexMatrix:
     def test_case1_families(self):
         j0 = index_matrix(family(4, (1,), (2, 3, 4)))
@@ -189,14 +170,14 @@ class TestSetControllability:
         jd = index_matrix(family(4, (1, 2), (3, 4)))
         cs = set_controllability_matrix(toy_c, j0, jd)
         assert cs == BooleanMatrix.ones(2, 2)
-        assert ReachReport(cs).globally_controllable
+        assert cs.is_all_ones()
 
     def test_unreachable_case(self, toy_c):
         j0 = index_matrix(family(4, (1, 2, 3), (1, 4)))
         jd = index_matrix(family(4, (3,)))
         cs = set_controllability_matrix(toy_c, j0, jd)
         assert cs == BooleanMatrix.from_rows([[1, 0]])
-        assert not ReachReport(cs).globally_controllable
+        assert not cs.is_all_ones()
 
     def test_identity_families_recover_closure(self, toy_c):
         eye = index_matrix(family(4, (1,), (2,), (3,), (4,)))
@@ -223,44 +204,18 @@ class TestSetControllability:
             assert small <= big
 
 
-class TestOutputPartition:
-    def test_toy(self, toy_form):
-        fam = output_partition(toy_form)
-        assert [s.members for s in fam.sets] == [(1,), (2, 3, 4)]
-
-    def test_lac_case2(self, lac_case2_form):
-        fam = output_partition(lac_case2_form)
-        assert [s.members for s in fam.sets] == [(1, 2), (3, 4), (5, 6), (7, 8)]
-
-    def test_injective_output_gives_singletons(self):
-        form = algebraic_form(
-            parse_network(
-                "network a\nstates: x1\noutputs: y1\nx1' = x1\ny1 = x1\n"
-            )
-        )
-        fam = output_partition(form)
-        assert [s.members for s in fam.sets] == [(1,), (2,)]
-
-    def test_empty_classes_retained(self):
-        form = algebraic_form(
-            parse_network(
-                "network a\nstates: x1\noutputs: y1, y2\nx1' = x1\ny1 = x1\ny2 = x1\n"
-            )
-        )
-        fam = output_partition(form)
-        assert len(fam.sets) == 4
-        assert [len(s.members) for s in fam.sets] == [1, 0, 0, 1]
-
-
 class TestOutputControllability:
     def test_toy_all_ones(self, toy_form, toy_c):
         cy = output_controllability_matrix(toy_c, toy_form)
         assert cy == BooleanMatrix.ones(2, 4)
 
     def test_matches_index_matrix_route(self, toy_form, toy_c):
-        # H C equals Jd^T C J0 with the output partition and singletons.
-        fam = output_partition(toy_form)
-        jd = index_matrix(fam)
+        # H C equals Jd^T C J0 with the output classes and singletons.
+        classes = [
+            tuple(a for a in range(1, 5) if toy_form.H.column(a) == v)
+            for v in range(1, toy_form.H.rows + 1)
+        ]
+        jd = index_matrix(family(4, *classes))
         j0 = BooleanMatrix.identity(4)
         assert output_controllability_matrix(toy_c, toy_form) == set_controllability_matrix(
             toy_c, j0, jd
