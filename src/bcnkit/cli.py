@@ -2,6 +2,8 @@
 
 Exit codes: 0 when the queried property holds, 1 when it does not,
 2 on usage, parse or size errors, oracle disagreement and internal faults.
+Each command runs its analysis and its --oracle check before it prints
+anything, so a check that raises leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ def _emit(title: str, mat) -> None:
     print(mat.to_text())
 
 
+def _oracle_status(agree: bool | None, status: int) -> int:
+    """Print the oracle line when --oracle ran (agree is not None) and
+    turn a disagreement into exit 2."""
+    if agree is None:
+        return status
+    print("oracle: agree" if agree else "oracle: DISAGREE")
+    return status if agree else 2
+
+
 def cmd_compile(args) -> int:
     model = _load_model(args.model)
     form = compiler.algebraic_form(model, args.max_size)
@@ -45,18 +56,13 @@ def cmd_controllability(args) -> int:
     form = compiler.algebraic_form(model, args.max_size)
     m = reach.one_step_matrix(form)
     c = reach.controllability_matrix(m)
+    agree = oracle.reach_oracle(model) == c if args.oracle else None
     holds = c.is_all_ones()
     print("controllable" if holds else "not controllable")
     if args.emit_matrices:
         _emit("M", m)
         _emit("C", c)
-    status = 0 if holds else 1
-    if args.oracle:
-        agree = oracle.reach_oracle(model) == c
-        print("oracle: agree" if agree else "oracle: DISAGREE")
-        if not agree:
-            return 2
-    return status
+    return _oracle_status(agree, 0 if holds else 1)
 
 
 def cmd_set_controllability(args) -> int:
@@ -73,6 +79,9 @@ def cmd_set_controllability(args) -> int:
     j0 = reach.index_matrix(p0)
     jd = reach.index_matrix(pd)
     cs = reach.set_controllability_matrix(c, j0, jd)
+    agree = None
+    if args.oracle:
+        agree = reach.set_controllability_matrix(oracle.reach_oracle(model), j0, jd) == cs
     holds = cs.is_all_ones()
     print("set controllable" if holds else "not set controllable")
     if args.emit_matrices:
@@ -80,13 +89,7 @@ def cmd_set_controllability(args) -> int:
         _emit("J0", j0)
         _emit("Jd", jd)
         _emit("C_S", cs)
-    if args.oracle:
-        cs_oracle = reach.set_controllability_matrix(oracle.reach_oracle(model), j0, jd)
-        agree = cs_oracle == cs
-        print("oracle: agree" if agree else "oracle: DISAGREE")
-        if not agree:
-            return 2
-    return 0 if holds else 1
+    return _oracle_status(agree, 0 if holds else 1)
 
 
 def cmd_output_controllability(args) -> int:
@@ -96,18 +99,15 @@ def cmd_output_controllability(args) -> int:
         raise CliError("model declares no outputs; output controllability is undefined")
     c = reach.controllability_matrix(reach.one_step_matrix(form))
     cy = reach.output_controllability_matrix(c, form)
+    agree = None
+    if args.oracle:
+        agree = reach.output_controllability_matrix(oracle.reach_oracle(model), form) == cy
     holds = cy.is_all_ones()
     print("output controllable" if holds else "not output controllable")
     if args.emit_matrices:
         _emit("C", c)
         _emit("C_Y", cy)
-    if args.oracle:
-        cy_oracle = reach.output_controllability_matrix(oracle.reach_oracle(model), form)
-        agree = cy_oracle == cy
-        print("oracle: agree" if agree else "oracle: DISAGREE")
-        if not agree:
-            return 2
-    return 0 if holds else 1
+    return _oracle_status(agree, 0 if holds else 1)
 
 
 def cmd_observability(args) -> int:
@@ -116,19 +116,15 @@ def cmd_observability(args) -> int:
     if form.p == 0:
         raise CliError("model declares no outputs; observability is undefined")
     report = observe.observability_verdict(form, want_witnesses=args.witness)
+    agree = None
+    if args.oracle:
+        agree = dict(oracle.distinguish_oracle(model)) == dict(zip(report.theta, report.flags))
     cs_row = None
     if args.emit_matrices and report.flags:
         bits = sum(1 << k for k, f in enumerate(report.flags) if f)
         cs_row = boolmat.BooleanMatrix(1, len(report.flags), [bits])
     print(observe.render_report(report, cs_row))
-    if args.oracle:
-        truth = dict(oracle.distinguish_oracle(model))
-        mine = dict(zip(report.theta, report.flags))
-        agree = truth == mine
-        print("oracle: agree" if agree else "oracle: DISAGREE")
-        if not agree:
-            return 2
-    return 0 if report.observable else 1
+    return _oracle_status(agree, 0 if report.observable else 1)
 
 
 def _positive_int(text: str) -> int:
@@ -202,8 +198,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # Last resort, e.g. RecursionError on very deeply nested rules: an
-        # internal fault must exit 2, never 1, which reads as "fails".
+        # Last resort: an internal fault must exit 2, never 1, which
+        # reads as "fails".
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,10 @@ Python int holds a value at the assignment decoded from column t+1.
 Each variable is such a periodic mask, each rule is evaluated once with
 its operators applied as int operations, and the resulting truth tables
 are assembled into column indices with no per-column walk of the AST.
-The brute-force oracle keeps its own per-column evaluator (`eval_expr`);
-the only code it shares with this module is the state index codec.
+The brute-force oracle evaluates one assignment at a time with
+`netlang.eval_expr`.  It shares with this module the state index codec
+and the node order of `netlang.postorder`, which both evaluators walk,
+but not the operator semantics: each maps every operator to its own code.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .boolmat import LogicalMatrix
-from .netlang import And, Const, Expr, Iff, Implies, NetworkModel, Not, Or, Var, Xor
+from .netlang import And, Const, Expr, Iff, Implies, NetworkModel, Not, Or, Var, Xor, postorder
 from .record import Record
 
 #: Flat compilation refuses models with more than this many state+input bits.
@@ -83,13 +85,10 @@ def _variable_masks(variables: Sequence[str], width: int) -> dict[str, int]:
 
 
 def _truth_table(e: Expr, masks: dict[str, int], full: int, unknown: set[str]) -> int:
-    """Evaluate e over all columns at once, in post-order with an
-    explicit stack so that rule depth is not bound by the recursion
-    limit.  Variables missing from masks are added to unknown."""
+    """Evaluate e over all columns at once.  Variables missing from masks
+    are added to unknown."""
     values: list[int] = []
-    todo = [(e, False)]
-    while todo:
-        node, ready = todo.pop()
+    for node in postorder(e):
         kind = type(node)
         if kind is Var:
             if node.name not in masks:
@@ -98,18 +97,10 @@ def _truth_table(e: Expr, masks: dict[str, int], full: int, unknown: set[str]) -
         elif kind is Const:
             values.append(full if node.value else 0)
         elif kind is Not:
-            if ready:
-                values.append(full ^ values.pop())
-            else:
-                todo += ((node, True), (node.operand, False))
-        elif kind in _BINARY:
-            if ready:
-                b = values.pop()
-                values.append(_BINARY[kind](values.pop(), b, full))
-            else:
-                todo += ((node, True), (node.right, False), (node.left, False))
+            values.append(full ^ values.pop())
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            b = values.pop()
+            values.append(_BINARY[kind](values.pop(), b, full))
     return values.pop()
 
 
@@ -197,12 +188,8 @@ def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> Algebr
             f"model has {n + m} state+input variables; flat compilation "
             f"is limited to {max_vars}"
         )
-    nn = 1 << n
-    L = LogicalMatrix(nn, _columns(model.updates, model.inputs + model.states))
-    if p == 0:
-        H = LogicalMatrix(1, (1,) * nn)
-    else:
-        H = LogicalMatrix(1 << p, _columns(model.output_maps, model.states))
+    L = LogicalMatrix(1 << n, _columns(model.updates, model.inputs + model.states))
+    H = LogicalMatrix(1 << p, _columns(model.output_maps, model.states))
     return AlgebraicForm(n, m, p, L, H)
 
 

@@ -18,7 +18,7 @@ states only.  Operator precedence, tightest first:
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .record import Record
 
@@ -85,60 +85,94 @@ class Iff(Record):
 
 Expr = Union[Const, Var, Not, And, Or, Xor, Implies, Iff]
 
+#: The binary operators: token -> (node class, level, right-associative).
+#: A higher level binds tighter, and ``!`` binds tighter than every level
+#: here.  The parser and `pretty` both take precedence and associativity
+#: from this table.
+_OPERATORS = {
+    "<->": (Iff, 1, False),
+    "->": (Implies, 2, True),
+    "|": (Or, 3, False),
+    "^": (Xor, 4, False),
+    "&": (And, 5, False),
+}
+_SYMBOLS = {cls: (tok, level, rassoc) for tok, (cls, level, rassoc) in _OPERATORS.items()}
+_NOT_LEVEL, _ATOM_LEVEL = 6, 7  # above every binary level
+
+
+def postorder(e: Expr) -> Iterator[Expr]:
+    """Yield every node of e after its operands, left operand first.
+
+    The walk keeps an explicit stack, so expression depth is not bound
+    by the recursion limit.  Raises TypeError on a non-node.
+    """
+    todo = [(e, False)]
+    while todo:
+        node, ready = todo.pop()
+        kind = type(node)
+        if ready or kind is Var or kind is Const:
+            yield node
+        elif kind is Not:
+            todo += ((node, True), (node.operand, False))
+        elif kind in _SYMBOLS:
+            todo += ((node, True), (node.right, False), (node.left, False))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+
+
+#: The oracle's operator semantics, apart from the compiler's bit-sliced ones.
+_EVAL = {
+    And: lambda a, b: a & b,
+    Or: lambda a, b: a | b,
+    Xor: lambda a, b: a ^ b,
+    Implies: lambda a, b: (1 - a) | b,
+    Iff: lambda a, b: 1 - (a ^ b),
+}
+
 
 def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
     """Evaluate under an assignment of {0,1} to variables."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
-    if isinstance(e, Not):
-        return 1 - eval_expr(e.operand, env)
-    a = eval_expr(e.left, env)
-    b = eval_expr(e.right, env)
-    if isinstance(e, And):
-        return a & b
-    if isinstance(e, Or):
-        return a | b
-    if isinstance(e, Xor):
-        return a ^ b
-    if isinstance(e, Implies):
-        return (1 - a) | b
-    if isinstance(e, Iff):
-        return 1 - (a ^ b)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# Precedence levels; higher binds tighter.
-_LEVEL = {Iff: 1, Implies: 2, Or: 3, Xor: 4, And: 5, Not: 6, Var: 7, Const: 7}
-_OPSYM = {Iff: "<->", Implies: "->", Or: "|", Xor: "^", And: "&"}
+    values: list[int] = []
+    for node in postorder(e):
+        kind = type(node)
+        if kind is Var:
+            try:
+                values.append(env[node.name])
+            except KeyError:
+                raise UnboundVariable(node.name) from None
+        elif kind is Const:
+            values.append(node.value)
+        elif kind is Not:
+            values.append(1 - values.pop())
+        else:
+            b = values.pop()
+            values.append(_EVAL[kind](values.pop(), b))
+    return values.pop()
 
 
 def pretty(e: Expr) -> str:
     """Render with minimal parentheses; re-parsing yields the same AST."""
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Not):
-        return "!" + _wrap(e.operand, _LEVEL[Not])
-    lvl = _LEVEL[type(e)]
-    # -> is right-associative; the other binary ops are parsed left-associative.
-    if isinstance(e, Implies):
-        left = _wrap(e.left, lvl + 1)
-        right = _wrap(e.right, lvl)
-    else:
-        left = _wrap(e.left, lvl)
-        right = _wrap(e.right, lvl + 1)
-    return f"{left} {_OPSYM[type(e)]} {right}"
+    done: list[tuple[str, int]] = []  # (text, level) of each finished operand
 
+    def operand(min_level: int) -> str:
+        text, level = done.pop()
+        return text if level >= min_level else f"({text})"
 
-def _wrap(e: Expr, min_level: int) -> str:
-    s = pretty(e)
-    return s if _LEVEL[type(e)] >= min_level else f"({s})"
+    for node in postorder(e):
+        kind = type(node)
+        if kind is Var:
+            done.append((node.name, _ATOM_LEVEL))
+        elif kind is Const:
+            done.append((str(node.value), _ATOM_LEVEL))
+        elif kind is Not:
+            done.append(("!" + operand(_NOT_LEVEL), _NOT_LEVEL))
+        else:
+            tok, level, rassoc = _SYMBOLS[kind]
+            # The operand on the associative side may sit at the same level.
+            right = operand(level if rassoc else level + 1)
+            left = operand(level + 1 if rassoc else level)
+            done.append((f"{left} {tok} {right}", level))
+    return done.pop()[0]
 
 
 # -- lexer ---------------------------------------------------------------
@@ -148,7 +182,7 @@ _PUNCT = ("<->", "->", "!", "&", "^", "|", "(", ")", ",", ":", "'", "=")
 
 class _Tok(Record):
     __slots__ = ("kind", "text", "line", "col")
-    kind: str  # 'name', 'bit', punctuation literal, or 'eof'
+    kind: str  # 'name', 'bit' or a punctuation literal
     text: str
     line: int
     col: int
@@ -187,97 +221,68 @@ def _lex_line(text: str, line_no: int) -> list[_Tok]:
     return toks
 
 
-# -- expression parser (recursive descent) -------------------------------
+# -- expression parser (operator precedence) ------------------------------
 
 
-class _ExprParser:
-    """One expression's parser; `names` collects every variable it reads."""
+def _parse_tokens(toks: list[_Tok], line: int) -> tuple[Expr, set[str]]:
+    """Parse one expression from its tokens with an operand stack and an
+    operator stack; also return the set of variable names it reads."""
+    operands: list[Expr] = []
+    ops: list[str] = []  # '!', '(' and binary operator tokens waiting
+    names: set[str] = set()
+    depth = 0  # '(' on ops
 
-    def __init__(self, toks: list[_Tok], line: int):
-        self.toks = toks
-        self.pos = 0
-        self.line = line
-        self.names: set[str] = set()
+    def reduce(min_level: int) -> None:
+        # Apply the waiting binary operators of at least min_level.
+        while ops and ops[-1] in _OPERATORS and _OPERATORS[ops[-1]][1] >= min_level:
+            cls = _OPERATORS[ops.pop()][0]
+            b = operands.pop()
+            operands.append(cls(operands.pop(), b))
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise NetworkParseError("unexpected end of expression", self.line, 0)
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t is None or t.kind != kind:
-            got = t.text if t else "end of line"
-            raise NetworkParseError(
-                f"expected {kind!r}, got {got!r}", self.line, t.col if t else 0
-            )
-        return self.take()
-
-    def parse(self) -> Expr:
-        e = self.iff()
-        t = self.peek()
-        if t is not None:
+    want_operand = True
+    for t in toks:
+        if want_operand:
+            if t.kind in ("!", "("):
+                depth += t.kind == "("
+                ops.append(t.kind)
+                continue
+            if t.kind == "bit":
+                operands.append(Const(int(t.text)))
+            elif t.kind == "name":
+                names.add(t.text)
+                operands.append(Var(t.text))
+            else:
+                raise NetworkParseError(f"unexpected token {t.text!r}", t.line, t.col)
+        elif t.kind in _OPERATORS:
+            _, level, rassoc = _OPERATORS[t.kind]
+            # An operator of the same level waits only if right-associative.
+            reduce(level + rassoc)
+            ops.append(t.kind)
+            want_operand = True
+            continue
+        elif t.kind == ")" and depth:
+            reduce(0)
+            ops.pop()
+            depth -= 1
+        elif depth:
+            raise NetworkParseError(f"expected ')', got {t.text!r}", line, t.col)
+        else:
             raise NetworkParseError(f"trailing input {t.text!r}", t.line, t.col)
-        return e
-
-    def iff(self) -> Expr:
-        e = self.implies()
-        while (t := self.peek()) and t.kind == "<->":
-            self.take()
-            e = Iff(e, self.implies())
-        return e
-
-    def implies(self) -> Expr:
-        e = self.disj()
-        if (t := self.peek()) and t.kind == "->":
-            self.take()
-            return Implies(e, self.implies())
-        return e
-
-    def disj(self) -> Expr:
-        e = self.xor()
-        while (t := self.peek()) and t.kind == "|":
-            self.take()
-            e = Or(e, self.xor())
-        return e
-
-    def xor(self) -> Expr:
-        e = self.conj()
-        while (t := self.peek()) and t.kind == "^":
-            self.take()
-            e = Xor(e, self.conj())
-        return e
-
-    def conj(self) -> Expr:
-        e = self.unary()
-        while (t := self.peek()) and t.kind == "&":
-            self.take()
-            e = And(e, self.unary())
-        return e
-
-    def unary(self) -> Expr:
-        t = self.take()
-        if t.kind == "!":
-            return Not(self.unary())
-        if t.kind == "(":
-            e = self.iff()
-            self.expect(")")
-            return e
-        if t.kind == "bit":
-            return Const(int(t.text))
-        if t.kind == "name":
-            self.names.add(t.text)
-            return Var(t.text)
-        raise NetworkParseError(f"unexpected token {t.text!r}", t.line, t.col)
+        # An operand is complete: apply the '!'s written before it.
+        while ops and ops[-1] == "!":
+            ops.pop()
+            operands.append(Not(operands.pop()))
+        want_operand = False
+    if want_operand:
+        raise NetworkParseError("unexpected end of expression", line, 0)
+    if depth:
+        raise NetworkParseError("expected ')', got 'end of line'", line, 0)
+    reduce(0)
+    return operands.pop(), names
 
 
 def parse_expr(text: str, line_no: int = 1) -> Expr:
-    return _ExprParser(_lex_line(text, line_no), line_no).parse()
+    return _parse_tokens(_lex_line(text, line_no), line_no)[0]
 
 
 # -- network model ---------------------------------------------------------
@@ -382,9 +387,8 @@ def parse_network(text: str) -> NetworkModel:
                 raise NetworkParseError(f"duplicate update rule for {target!r}", no, toks[0].col)
             if len(toks) < 3 or toks[2].kind != "=":
                 raise NetworkParseError("expected '=' in update rule", no, toks[0].col)
-            parser = _ExprParser(toks[3:], no)
-            expr = parser.parse()
-            for v in sorted(parser.names):
+            expr, names = _parse_tokens(toks[3:], no)
+            for v in sorted(names):
                 if v not in state_set and v not in input_set:
                     raise NetworkParseError(f"unknown variable {v!r} in update rule", no, toks[0].col)
             updates[target] = expr
@@ -396,9 +400,8 @@ def parse_network(text: str) -> NetworkModel:
                 raise NetworkParseError(f"duplicate output rule for {target!r}", no, toks[0].col)
             if len(toks) < 2 or toks[1].kind != "=":
                 raise NetworkParseError("expected '=' in output rule", no, toks[0].col)
-            parser = _ExprParser(toks[2:], no)
-            expr = parser.parse()
-            for v in sorted(parser.names):
+            expr, names = _parse_tokens(toks[2:], no)
+            for v in sorted(names):
                 if v in input_set:
                     raise NetworkParseError(
                         f"output {target!r} references input {v!r}", no, toks[0].col

@@ -3,9 +3,10 @@
 Everything here simulates the model's expression ASTs directly, one
 assignment at a time with `netlang.eval_expr`, and explores explicit
 graphs by breadth-first search.  The compiler tabulates rules with its
-own bit-sliced evaluator, so the only code shared with the matrix path
-is the state index codec (and the `SizeLimitError` type, re-exported
-here); agreement between the two is meaningful evidence rather than
+own bit-sliced evaluator.  The two share the state index codec, the
+`SizeLimitError` type (re-exported here) and the node order of
+`netlang.postorder`, but each maps every operator to its own code, so
+agreement between them is meaningful evidence rather than
 self-confirmation.
 """
 
@@ -29,7 +30,6 @@ from .netlang import (
     Xor,
     eval_expr,
 )
-from .record import Record
 
 
 def _step(model: NetworkModel, state: int, control: int) -> int:
@@ -43,36 +43,29 @@ def _output(model: NetworkModel, state: int) -> tuple[int, ...]:
     return tuple(eval_expr(h, env) for h in model.output_maps)
 
 
-class TransitionGraph(Record):
-    """One-step successor sets over all controls, found by simulation."""
-
-    __slots__ = ("state_count", "successors")
-    state_count: int
-    successors: tuple[tuple[int, ...], ...]
-
-
-def transition_graph(model: NetworkModel) -> TransitionGraph:
-    nn = 1 << model.n
-    succ = []
-    for a in range(1, nn + 1):
-        succ.append(tuple(sorted({_step(model, a, j) for j in range(1, (1 << model.m) + 1)})))
-    return TransitionGraph(nn, tuple(succ))
+def transition_graph(model: NetworkModel) -> tuple[tuple[int, ...], ...]:
+    """Item a-1 holds the sorted one-step successors of state a over all
+    controls, found by simulation."""
+    controls = range(1, (1 << model.m) + 1)
+    return tuple(
+        tuple(sorted({_step(model, a, j) for j in controls})) for a in range(1, (1 << model.n) + 1)
+    )
 
 
 def reach_oracle(model: NetworkModel) -> BooleanMatrix:
     """Entry (i, j) = 1 iff BFS from j reaches i in at least one step."""
     if model.n + model.m > 12:
         raise SizeLimitError("reach oracle is limited to n+m <= 12")
-    graph = transition_graph(model)
-    nn = graph.state_count
+    successors = transition_graph(model)
+    nn = len(successors)
     bits = [0] * nn
     for j in range(1, nn + 1):
         seen = set()
-        queue = deque(graph.successors[j - 1])
+        queue = deque(successors[j - 1])
         seen.update(queue)
         while queue:
             a = queue.popleft()
-            for b in graph.successors[a - 1]:
+            for b in successors[a - 1]:
                 if b not in seen:
                     seen.add(b)
                     queue.append(b)

@@ -134,7 +134,7 @@ def _parse_family(entries, n: int) -> SetFamily:
     universe = 1 << n
     sets = []
     for ent in entries:
-        if not isinstance(ent, dict) or "states" not in ent:
+        if not isinstance(ent, dict) or not isinstance(ent.get("states"), list):
             raise ValueError("each set needs a 'states' list")
         members = tuple(_parse_state(s, n) for s in ent["states"])
         if not members:
@@ -149,7 +149,12 @@ def load_set_spec(text: str, n: int) -> tuple[SetFamily, SetFamily]:
     """Parse the JSON set-specification format; returns (initial,
     destination) families over the 2^n state universe.  States may be
     1-based indices or bit strings like "101" (first state bit first)."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "initial" not in doc or "destination" not in doc:
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(doc, dict) or not all(
+        isinstance(doc.get(key), list) for key in ("initial", "destination")
+    ):
         raise ValueError("set spec needs 'initial' and 'destination' lists")
     return _parse_family(doc["initial"], n), _parse_family(doc["destination"], n)

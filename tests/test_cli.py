@@ -13,6 +13,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _spec(initial, destination='[{"states": [1]}]'):
+    """Set-specification JSON text from the two family texts."""
+    return f'{{"initial": {initial}, "destination": {destination}}}'
+
+
 class TestCompile:
     def test_toy(self, capsys):
         code, out, _ = run(capsys, "compile", MODELS / "toy.bcn")
@@ -96,6 +101,39 @@ class TestSetControllability:
         assert code == 2
         assert "set specification" in err
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(_spec('"ab"'), id="string-family"),
+        pytest.param(_spec('{"states": [1]}'), id="object-family"),
+        pytest.param(_spec('[{"states": [1]}]', "7"), id="number-family"),
+        pytest.param(_spec('[{"states": "10"}]'), id="string-states"),
+        pytest.param(_spec('[{"states": {"1": 0}}]'), id="object-states"),
+        pytest.param(_spec('[{"states": 5}]'), id="number-states"),
+        pytest.param(_spec('[{"states": null}]'), id="null-states"),
+        pytest.param(_spec('[{"states": [true]}]'), id="bool"),
+        pytest.param(_spec('[{"states": [1e400]}]'), id="infinite"),
+        pytest.param(_spec('[{"states": [' + "9" * 40 + "]}]"), id="big-int"),
+        pytest.param(_spec('[{"states": [' + "9" * 5000 + "]}]"), id="huge-int"),
+        pytest.param(_spec('[{"states": [-1]}]'), id="negative"),
+        pytest.param(_spec('[{"states": [[1]]}]'), id="nested"),
+        pytest.param(_spec("[" * 100_000 + "]" * 100_000), id="deep-array"),
+    ])
+    def test_malformed_spec(self, capsys, tmp_path, text):
+        mdl = tmp_path / "one.bcn"
+        mdl.write_text("network one\nstates: x1\nx1' = x1\n")
+        spec = tmp_path / "sets.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, "set-controllability", mdl, "--sets", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad set specification") and "internal error" not in err
+
+    def test_duplicate_sets_warn(self, capsys, tmp_path):
+        mdl = tmp_path / "one.bcn"
+        mdl.write_text("network one\nstates: x1\nx1' = x1\n")
+        spec = tmp_path / "sets.json"
+        spec.write_text(_spec('[{"states": [1]}, {"states": ["1"]}]', '[{"states": [2]}]'))
+        code, out, err = run(capsys, "set-controllability", mdl, "--sets", spec)
+        assert (code, out, err) == (1, "not set controllable\n", "warning: set #2 duplicates set #1\n")
+
 
 class TestOutputControllability:
     def test_toy_holds(self, capsys):
@@ -159,9 +197,34 @@ class TestExitContract:
     def test_deeply_nested_rule(self, capsys, tmp_path):
         mdl = tmp_path / "nested.bcn"
         mdl.write_text("network f\nstates: x1\nx1' = " + "(" * 2000 + "x1" + ")" * 2000 + "\n")
-        code, _, err = run(capsys, "compile", mdl)
-        assert code == 2
-        assert err.startswith("error:") and "Traceback" not in err
+        short = tmp_path / "short.bcn"
+        short.write_text("network f\nstates: x1\nx1' = x1\n")
+        code, out, err = run(capsys, "compile", mdl)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "compile", short)[1]
+
+    DEEP_RULES = {
+        "parentheses": ("(" * 2000 + "x2" + ")" * 2000, "x2"),
+        "and-chain": (" & ".join(["x2"] * 3000), "x2"),
+        "implies-chain": (" -> ".join(["x2"] * 3001), "1"),
+        "negations": ("!" * 3001 + "x2", "!x2"),
+    }
+
+    @pytest.mark.parametrize("rule, short", DEEP_RULES.values(), ids=DEEP_RULES)
+    def test_rule_deeper_than_recursion_limit(self, capsys, tmp_path, rule, short):
+        # The parser, the compiler and the oracle's evaluator keep explicit
+        # stacks: a deep rule compiles like a short equivalent, and the
+        # oracle agrees (x1 never changes, so the model is not controllable).
+        head = "network f\nstates: x1, x2\nx1' = x1\nx2' = "
+        mdl = tmp_path / "deep.bcn"
+        mdl.write_text(head + rule + "\n")
+        ref = tmp_path / "short.bcn"
+        ref.write_text(head + short + "\n")
+        code, out, err = run(capsys, "compile", mdl)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "compile", ref)[1]
+        code, out, err = run(capsys, "controllability", mdl, "--oracle")
+        assert (code, out, err) == (1, "not controllable\noracle: agree\n", "")
 
     @pytest.mark.parametrize("value", ["-5", "0"])
     def test_max_size_must_be_positive(self, capsys, value):
@@ -173,12 +236,19 @@ class TestExitContract:
     @pytest.mark.parametrize("argv, states, message", [
         (["compile"], 21, "flat compilation is limited to 20"),
         (["controllability", "--oracle"], 13, "reach oracle is limited to n+m <= 12"),
+        (["set-controllability", "--oracle"], 13, "reach oracle is limited to n+m <= 12"),
+        (["output-controllability", "--oracle"], 13, "reach oracle is limited to n+m <= 12"),
     ])
     def test_size_limit_exits_2(self, capsys, tmp_path, argv, states, message):
+        # A command prints only after its analysis and its oracle check
+        # ran, so a refused check leaves stdout empty.
         names = ", ".join(f"x{i}" for i in range(1, states + 1))
         rules = "\n".join(f"x{i}' = x{i}" for i in range(1, states + 1))
         mdl = tmp_path / "big.bcn"
-        mdl.write_text(f"network big\nstates: {names}\n{rules}\n")
-        code, _, err = run(capsys, argv[0], mdl, *argv[1:])
-        assert code == 2
+        mdl.write_text(f"network big\nstates: {names}\noutputs: y1\n{rules}\ny1 = x1\n")
+        spec = tmp_path / "sets.json"
+        spec.write_text(_spec('[{"states": [1]}]', '[{"states": [2]}]'))
+        sets = ["--sets", spec] if argv[0] == "set-controllability" else []
+        code, out, err = run(capsys, argv[0], mdl, *argv[1:], *sets)
+        assert (code, out) == (2, "")
         assert err.startswith("error:") and message in err

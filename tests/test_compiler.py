@@ -149,8 +149,8 @@ class TestAlgebraicForm:
         assert form.n == 21
 
     def test_deep_rule(self):
-        # A 5000-deep left-nested chain, built as an AST since the parser
-        # recurses; tabulation must not hit the recursion limit.
+        # A 5000-deep left-nested chain: tabulation must not hit the
+        # recursion limit.
         names = ("x1", "x2", "x3")
         deep = Var("x1")
         for k in range(5000):

@@ -9,6 +9,7 @@ from bcnkit.netlang import (
     Const,
     Iff,
     Implies,
+    NetworkModel,
     NetworkParseError,
     Not,
     Or,
@@ -19,6 +20,7 @@ from bcnkit.netlang import (
     format_network,
     parse_expr,
     parse_network,
+    postorder,
     pretty,
 )
 from bcnkit.oracle import random_model
@@ -89,6 +91,27 @@ class TestExprParsing:
         with pytest.raises(NetworkParseError):
             parse_expr("a @ b")
 
+    @pytest.mark.parametrize("text, error", [
+        ("", "line 4, col 0: unexpected end of expression"),
+        ("a &", "line 4, col 0: unexpected end of expression"),
+        ("!", "line 4, col 0: unexpected end of expression"),
+        ("(a", "line 4, col 0: expected ')', got 'end of line'"),
+        ("a <-> (b ^ c", "line 4, col 0: expected ')', got 'end of line'"),
+        ("(a b", "line 4, col 4: expected ')', got 'b'"),
+        ("a)", "line 4, col 2: trailing input ')'"),
+        ("a b", "line 4, col 3: trailing input 'b'"),
+        ("a = b", "line 4, col 3: trailing input '='"),
+        ("!(a & b) c", "line 4, col 10: trailing input 'c'"),
+        (")", "line 4, col 1: unexpected token ')'"),
+        ("()", "line 4, col 2: unexpected token ')'"),
+        ("a -> -> b", "line 4, col 6: unexpected token '->'"),
+        ("(a & (b | !))", "line 4, col 12: unexpected token ')'"),
+    ])
+    def test_syntax_error_text(self, text, error):
+        with pytest.raises(NetworkParseError) as info:
+            parse_expr(text, 4)
+        assert str(info.value) == error
+
 
 class TestEval:
     def test_iff_or(self):
@@ -128,6 +151,44 @@ class TestPretty:
         assert pretty(parse_expr("(a & b) | c")) == "a & b | c"
         assert pretty(parse_expr("a -> (b -> c)")) == "a -> b -> c"
         assert pretty(parse_expr("(a -> b) -> c")) == "(a -> b) -> c"
+
+
+class TestPostorder:
+    def test_node_order(self):
+        # Operands before their operator, left operand first.
+        e = parse_expr("!a & (b -> 1) | c")
+        assert [pretty(node) for node in postorder(e)] == [
+            "a", "!a", "b", "1", "b -> 1", "!a & (b -> 1)", "c", "!a & (b -> 1) | c",
+        ]
+
+    def test_rejects_a_non_node(self):
+        with pytest.raises(TypeError, match="not an expression node: 5"):
+            list(postorder(And(Var("a"), Not(5))))
+
+
+class TestDeepExpressions:
+    """Rules deeper than the recursion limit.  Deep ASTs are compared as
+    text, because record equality still recurses."""
+
+    CHAINS = {
+        "left-and": (lambda e: And(e, Var("x1")), " & ".join(["x1"] * 5001), (0, 1)),
+        "right-implies": (lambda e: Implies(Var("x1"), e), " -> ".join(["x1"] * 5001), (1, 1)),
+        "negations": (Not, "!" * 5000 + "x1", (0, 1)),
+    }
+
+    @pytest.mark.parametrize("grow, text, values", CHAINS.values(), ids=CHAINS)
+    def test_format_round_trip(self, grow, text, values):
+        e = Var("x1")
+        for _ in range(5000):
+            e = grow(e)
+        model = NetworkModel("deep", ("x1",), (), (), (e,), ())
+        source = format_network(model)
+        assert source == f"network deep\nstates: x1\nx1' = {text}\n"
+        assert format_network(parse_network(source)) == source
+        assert (eval_expr(e, {"x1": 0}), eval_expr(e, {"x1": 1})) == values
+
+    def test_nested_parentheses(self):
+        assert parse_expr("(" * 5000 + "x1" + ")" * 5000) == Var("x1")
 
 
 class TestNetworkParsing:

@@ -27,7 +27,7 @@ def test_every_record_declares_its_fields():
     assert {cls.__name__ for cls in classes} == {
         "Const", "Var", "Not", "And", "Or", "Xor", "Implies", "Iff", "_Tok", "NetworkModel",
         "LogicalMatrix", "AlgebraicForm", "StateSet", "SetFamily", "PairPartition",
-        "ObservabilityReport", "TransitionGraph",
+        "ObservabilityReport",
     }
     for cls in classes:
         assert tuple(cls.__dict__["__annotations__"]) == cls.__dict__["__slots__"], cls
