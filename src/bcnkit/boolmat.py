@@ -75,6 +75,16 @@ class BooleanMatrix:
         return cls(rows, cols, bits)
 
     @classmethod
+    def from_successors(cls, size: int, maps: Iterable[Sequence[int]]) -> "BooleanMatrix":
+        """size x size, with a 1 at (i, a) when some map sends a to i; item
+        a-1 of a map is the 1-based successor of a."""
+        bits = [0] * size
+        for mp in maps:
+            for a, nxt in enumerate(mp):
+                bits[nxt - 1] |= 1 << a
+        return cls(size, size, bits)
+
+    @classmethod
     def identity(cls, n: int) -> "BooleanMatrix":
         return cls(n, n, (1 << i for i in range(n)))
 

@@ -8,12 +8,16 @@ every Theta pair some control sequence reaches Xi; a shortest such
 sequence is a distinguishing witness.
 
 One multi-source breadth-first search backward from Xi over the pair
-graph gives every pair's distance to Xi at once, so all verdicts and
-witnesses come from a single O(4^n * 2^m) pass.  Among the shortest
-sequences, the witness is the lexicographically smallest: at each step
-it takes the smallest control that brings the pair one step closer to
-Xi.  The dense closure of the paired system (`dense_verdict_row`) stays
-as the paper's cross-check.
+graph gives every pair's distance to Xi at once, so all verdicts come
+from a single O(4^n * 2^m) pass.  Among the shortest sequences, the
+witness is the lexicographically smallest: at each step it takes the
+smallest control that brings the pair one step closer to Xi, read off
+the distances.  Swapping the two copies maps the pair graph onto
+itself, so (z, x) and (x, z) share their witness; built in ascending
+distance order, each Theta representative's witness is its first
+control followed by the witness already built for the representative
+one step closer.  The dense closure of the paired system
+(`dense_verdict_row`) stays as the paper's cross-check.
 """
 
 from __future__ import annotations
@@ -31,16 +35,16 @@ MAX_PAIR_BYTES = 4 << 30
 def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
     """Estimated peak memory of `observability_verdict` with witnesses:
     4^n * (80 * 2^m + 220) bytes for the per-control maps, predecessor
-    lists, distances, step pointers and pair sets, plus 8 bytes per
-    control in the witnesses (one tuple slot each).
+    lists, distances and pair sets, plus 8 bytes per control in the
+    witnesses (one tuple slot each).
 
-    Fitted to tracemalloc peaks of `observability_verdict(...,
-    want_witnesses=True)` on 24 seeded random models, n = 7-9, m = 0-3
-    (p = 1-2, short witnesses): least squares gives 74 * 2^m + 201 bytes
-    per pair (m = 1: 333-360 measured), rounded up so that every
-    measurement is at most 96% of the estimate.  Long witnesses grow
-    with the total witness length instead, 8^n on the n-bit counter: at
-    n = 9 it measured 275 MB against an estimate of 278 MB.
+    Fitted to tracemalloc peaks on 24 seeded random models, n = 7-9,
+    m = 0-3 (p = 1-2, short witnesses), where the backward search peaks
+    before any witness is built: least squares gives 74 * 2^m + 201 bytes
+    per pair, rounded up so that every measurement is at most 96% of the
+    estimate (24 more such draws: 85-95%).  Long witnesses grow with
+    their total length instead, 8^n on the n-bit counter: at n = 9 it
+    measured 254 MB against an estimate of 278 MB.
     """
     return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
 
@@ -82,26 +86,25 @@ class PairPartition(Record):
 
 
 def partition_pairs(form: AlgebraicForm) -> PairPartition:
-    n = form.n
-    nn = form.state_count
+    outputs = form.H.col_index
     diag = []
     theta = []
     theta_all = []
     xi = []
-    for z in range(1, nn + 1):
-        hz = form.H.column(z)
-        for x in range(1, nn + 1):
-            w = pair_index(z, x, n)
+    w = 0
+    for z, hz in enumerate(outputs, start=1):
+        for x, hx in enumerate(outputs, start=1):
+            w += 1  # pair_index(z, x, n)
             if z == x:
                 diag.append(w)
-            elif hz == form.H.column(x):
+            elif hz == hx:
                 theta_all.append(w)
                 if z < x:
                     theta.append((z, x))
             else:
                 xi.append(w)
     return PairPartition(
-        n=n,
+        n=form.n,
         diagonal=frozenset(diag),
         theta=tuple(theta),
         theta_ordered=frozenset(theta_all),
@@ -181,37 +184,14 @@ def _distances(ext: PairMaps, xi: frozenset[int]) -> list[int]:
     return dist
 
 
-def _first_steps(ext: PairMaps, dist: list[int]) -> list[tuple[int, int] | None]:
-    """Per 0-based pair with a positive distance: the smallest control j
-    whose successor is one step closer to Xi, and that successor.
-
-    Taking the smallest such control at every step spells the
-    lexicographically smallest shortest sequence, the one a forward
-    breadth-first search trying controls in ascending order would find.
-    """
-    steps: list[tuple[int, int] | None] = [None] * len(dist)
-    for w, d in enumerate(dist):
-        if d > 0:
-            for j, mp in enumerate(ext, start=1):
-                nxt = mp[w] - 1
-                if dist[nxt] == d - 1:
-                    steps[w] = (j, nxt)
-                    break
-    return steps
-
-
-def _walk(
-    dist: list[int], steps: list[tuple[int, int] | None], w: int
-) -> tuple[tuple[int, ...], int] | None:
-    """Witness (controls, T) of the 0-based pair w, read off the step
-    pointers; None when Xi is unreachable."""
-    if dist[w] < 0:
-        return None
-    controls = []
-    for _ in range(dist[w]):
-        j, w = steps[w]
-        controls.append(j)
-    return tuple(controls), len(controls)
+def _first_step(ext: PairMaps, dist: list[int], w: int) -> tuple[int, int]:
+    """The smallest control j that moves the 0-based pair w (at a positive
+    distance) one step closer to Xi, and the 0-based pair it moves to.
+    Taking it at every step spells the lexicographically smallest shortest
+    sequence, the one a forward breadth-first search trying controls in
+    ascending order would find."""
+    d = dist[w] - 1
+    return next((j, mp[w] - 1) for j, mp in enumerate(ext, start=1) if dist[mp[w] - 1] == d)
 
 
 def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> ObservabilityReport:
@@ -227,8 +207,13 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
     flags = tuple(dist[w] > 0 for w in reps)
     if want_witnesses:
         _check_pair_budget(form.n, form.m, sum(dist[w] for w in reps if dist[w] > 0))
-        steps = _first_steps(ext, dist)
-        wits = tuple(_walk(dist, steps, w) for w in reps)
+        nn = form.state_count
+        table: dict[int, tuple[int, ...]] = {}
+        for w in sorted((w for w in reps if dist[w] > 0), key=dist.__getitem__):
+            j, nxt = _first_step(ext, dist, w)
+            z, x = divmod(nxt, nn)
+            table[w] = (j,) + (table[min(z, x) * nn + max(z, x)] if dist[nxt] else ())
+        wits = tuple((table[w], dist[w]) if dist[w] > 0 else None for w in reps)
     else:
         wits = (None,) * len(reps)
     return ObservabilityReport(
@@ -248,9 +233,15 @@ def distinguishing_witness(
     if z0 == x0:
         raise ValueError("witness requires two distinct initial states")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
-    part = partition_pairs(form)
-    dist = _distances(ext, part.xi)
-    return _walk(dist, _first_steps(ext, dist), pair_index(z0, x0, form.n) - 1)
+    dist = _distances(ext, partition_pairs(form).xi)
+    w = pair_index(z0, x0, form.n) - 1
+    if dist[w] < 0:
+        return None
+    controls = []
+    for _ in range(dist[w]):
+        j, w = _first_step(ext, dist, w)
+        controls.append(j)
+    return tuple(controls), len(controls)
 
 
 def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
@@ -259,16 +250,9 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
     Only viable for small pair spaces (2n <= 12)."""
     if 2 * form.n > 12:
         raise SizeLimitError("dense pair-space closure is limited to 2n <= 12")
-    part = partition_pairs(form)
-    ext = extended_system(form)
-    size = 1 << (2 * form.n)
-    bits = [0] * size
-    for mp in ext:
-        for w, nxt in enumerate(mp, start=1):
-            bits[nxt - 1] |= 1 << (w - 1)
-    m_ext = BooleanMatrix(size, size, bits)
+    m_ext = BooleanMatrix.from_successors(1 << (2 * form.n), extended_system(form))
     c_ext = controllability_matrix(m_ext)
-    p0, pd = observability_setup(part)
+    p0, pd = observability_setup(partition_pairs(form))
     return set_controllability_matrix(c_ext, index_matrix(p0), index_matrix(pd))
 
 

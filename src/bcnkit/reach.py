@@ -64,12 +64,8 @@ class SetFamily(Record):
 
 def one_step_matrix(form: AlgebraicForm) -> BooleanMatrix:
     """Boolean OR of the per-control column blocks of L."""
-    nn = form.state_count
-    bits = [0] * nn
-    for j in range(1, form.control_count + 1):
-        for a, nxt in enumerate(form.successors(j)):
-            bits[nxt - 1] |= 1 << a
-    return BooleanMatrix(nn, nn, bits)
+    maps = map(form.successors, range(1, form.control_count + 1))
+    return BooleanMatrix.from_successors(form.state_count, maps)
 
 
 def controllability_matrix(m: BooleanMatrix) -> BooleanMatrix:
@@ -118,6 +114,14 @@ def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> Bool
 # -- set-specification files ------------------------------------------------
 
 
+def _parse_int(digits: str) -> int:
+    """A JSON integer; one too long for `int` is reported by its length."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"integer of {len(digits.lstrip('-'))} digits is too long") from None
+
+
 def _parse_state(item, n: int) -> int:
     if isinstance(item, bool):
         raise ValueError(f"bad state spec {item!r}")
@@ -130,15 +134,15 @@ def _parse_state(item, n: int) -> int:
     raise ValueError(f"bad state spec {item!r}")
 
 
-def _parse_family(entries, n: int) -> SetFamily:
+def _parse_family(entries, n: int, key: str) -> SetFamily:
     universe = 1 << n
     sets = []
-    for ent in entries:
+    for k, ent in enumerate(entries, start=1):
         if not isinstance(ent, dict) or not isinstance(ent.get("states"), list):
             raise ValueError("each set needs a 'states' list")
         members = tuple(_parse_state(s, n) for s in ent["states"])
         if not members:
-            raise ValueError(f"set {ent.get('name', '?')!r} is empty")
+            raise ValueError(f"{key} set #{k} is empty")
         sets.append(StateSet(universe, members))
     if not sets:
         raise ValueError("empty set family")
@@ -150,11 +154,11 @@ def load_set_spec(text: str, n: int) -> tuple[SetFamily, SetFamily]:
     destination) families over the 2^n state universe.  States may be
     1-based indices or bit strings like "101" (first state bit first)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
     if not isinstance(doc, dict) or not all(
         isinstance(doc.get(key), list) for key in ("initial", "destination")
     ):
         raise ValueError("set spec needs 'initial' and 'destination' lists")
-    return _parse_family(doc["initial"], n), _parse_family(doc["destination"], n)
+    return tuple(_parse_family(doc[key], n, key) for key in ("initial", "destination"))

@@ -113,6 +113,9 @@ class TestSetControllability:
         pytest.param(_spec('[{"states": [1e400]}]'), id="infinite"),
         pytest.param(_spec('[{"states": [' + "9" * 40 + "]}]"), id="big-int"),
         pytest.param(_spec('[{"states": [' + "9" * 5000 + "]}]"), id="huge-int"),
+        pytest.param(_spec('[{"states": [-' + "9" * 5000 + "]}]"), id="huge-negative-int"),
+        pytest.param(_spec('[{"states": [1]}, {"name": ' + "[" * 900 + "]" * 900 + ', "states": []}]'),
+                     id="empty-set-deep-name"),
         pytest.param(_spec('[{"states": [-1]}]'), id="negative"),
         pytest.param(_spec('[{"states": [[1]]}]'), id="nested"),
         pytest.param(_spec("[" * 100_000 + "]" * 100_000), id="deep-array"),
@@ -125,6 +128,7 @@ class TestSetControllability:
         code, out, err = run(capsys, "set-controllability", mdl, "--sets", spec)
         assert (code, out) == (2, "")
         assert err.startswith("error: bad set specification") and "internal error" not in err
+        assert err.count("\n") == 1 and len(err) < 120, err
 
     def test_duplicate_sets_warn(self, capsys, tmp_path):
         mdl = tmp_path / "one.bcn"

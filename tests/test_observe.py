@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -242,6 +243,27 @@ class TestWitness:
                 z, x = form.successors(j)[z - 1], form.successors(j)[x - 1]
             assert form.H.column(z) != form.H.column(x)
             assert t == len(controls)
+
+    def test_verdict_agrees_with_single_pair_walks(self, monkeypatch):
+        # The verdict continues each witness with that of the representative
+        # one step closer to Xi, swapping the copies where z > x;
+        # distinguishing_witness walks its one pair, in either orientation.
+        # The pair maps, partition and distances depend only on the form, so
+        # they are computed once per form here and each call costs only its
+        # walk (about 1 s in all, 40 s without).
+        for name in ("extended_system", "partition_pairs", "_distances"):
+            monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
+        rng = random.Random(8)
+        forms = [algebraic_form(parse_network(_counter_text(6)))]
+        for _ in range(200):
+            forms.append(algebraic_form(random_model(rng, rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 2))))
+        checked = 0
+        for form in forms:
+            report = observability_verdict(form, want_witnesses=True)
+            for (z, x), wit in zip(report.theta, report.witnesses):
+                assert distinguishing_witness(form, z, x) == wit == distinguishing_witness(form, x, z), (z, x)
+                checked += wit is not None and wit[1] > 1
+        assert checked > 1000
 
 
 def _lands_in_xi(form, z, x, controls):
