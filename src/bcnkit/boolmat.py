@@ -10,6 +10,13 @@ Two representations:
 All indices in the public API are 1-based.  Values are immutable; every
 operation returns a fresh matrix.
 
+Index lists and packed rows convert one way each.  `from_columns` builds
+a matrix from its columns, each a list of its 1-based rows: the one-step
+matrix, the indicator matrices of set families, a logical matrix and a
+transpose are all built so.  `_support` walks the set bits of a packed
+row, lowest first, for the transpose, the Kronecker product and the
+gather plan below.
+
 A product A*B ORs together, for each row of A, the rows of B its set bits
 pick.  The first product with A on the left turns A into a gather plan
 (see `BooleanMatrix._gather_plan`) that is kept on A; every product then
@@ -75,14 +82,15 @@ class BooleanMatrix:
         return cls(rows, cols, bits)
 
     @classmethod
-    def from_successors(cls, size: int, maps: Iterable[Sequence[int]]) -> "BooleanMatrix":
-        """size x size, with a 1 at (i, a) when some map sends a to i; item
-        a-1 of a map is the 1-based successor of a."""
-        bits = [0] * size
-        for mp in maps:
-            for a, nxt in enumerate(mp):
-                bits[nxt - 1] |= 1 << a
-        return cls(size, size, bits)
+    def from_columns(cls, rows: int, columns: Sequence[Iterable[int]]) -> "BooleanMatrix":
+        """rows x len(columns), with a 1 at (i, k) for each 1-based row i
+        that column k lists; a row listed twice is set once."""
+        bits = [0] * rows
+        for k, column in enumerate(columns):
+            bit = 1 << k
+            for i in column:
+                bits[i - 1] |= bit
+        return cls(rows, len(columns), bits)
 
     @classmethod
     def identity(cls, n: int) -> "BooleanMatrix":
@@ -212,14 +220,8 @@ class BooleanMatrix:
         """Kronecker product over the Boolean semiring."""
         out = []
         for a in self._bits:
-            for b in other._bits:
-                acc = 0
-                rest = a
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    acc |= b << (j * other.cols)
-                    rest &= rest - 1
-                out.append(acc)
+            shifts = [j * other.cols for j in _support(a)]
+            out.extend(reduce(or_, [b << s for s in shifts], 0) for b in other._bits)
         return BooleanMatrix(self.rows * other.rows, self.cols * other.cols, out)
 
     def stp(self, other: "BooleanMatrix") -> "BooleanMatrix":
@@ -231,15 +233,8 @@ class BooleanMatrix:
         return left.mul(right)
 
     def transpose(self) -> "BooleanMatrix":
-        out = []
-        for j in range(self.cols):
-            m = 1 << j
-            acc = 0
-            for i in range(self.rows):
-                if self._bits[i] & m:
-                    acc |= 1 << i
-            out.append(acc)
-        return BooleanMatrix(self.cols, self.rows, out)
+        """Row i of self, as a list of 1-based columns, is column i."""
+        return BooleanMatrix.from_columns(self.cols, [[j + 1 for j in _support(b)] for b in self._bits])
 
     # -- serialization ---------------------------------------------------
 
@@ -298,10 +293,7 @@ class LogicalMatrix(Record):
         return self.col_index[k - 1]
 
     def to_boolean(self) -> BooleanMatrix:
-        bits = [0] * self.rows
-        for k, c in enumerate(self.col_index):
-            bits[c - 1] |= 1 << k
-        return BooleanMatrix(self.rows, self.cols, bits)
+        return BooleanMatrix.from_columns(self.rows, [(c,) for c in self.col_index])
 
     def to_text(self) -> str:
         """Canonical form: 'delta <rows> [c1 c2 ... cr]'."""

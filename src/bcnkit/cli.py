@@ -73,7 +73,7 @@ def cmd_set_controllability(args) -> int:
             p0, pd = reach.load_set_spec(fh.read(), form.n)
     except (OSError, ValueError) as exc:
         raise CliError(f"bad set specification: {exc}") from exc
-    for w in p0.warnings + pd.warnings:
+    for w in p0.duplicates() + pd.duplicates():
         print(f"warning: {w}", file=sys.stderr)
     c = reach.controllability_matrix(reach.one_step_matrix(form))
     j0 = reach.index_matrix(p0)

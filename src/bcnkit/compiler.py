@@ -7,9 +7,11 @@ vector of dimension 2 and 0 with the second; a tuple of k bits encodes
 
 Rules are tabulated bit-sliced: over k ordered variables, bit t of a
 Python int holds a value at the assignment decoded from column t+1.
-Each variable is such a periodic mask, each rule is evaluated once with
-its operators applied as int operations, and the resulting truth tables
-are assembled into column indices with no per-column walk of the AST.
+Each variable is such a periodic mask, and each rule is evaluated once
+with its operators applied as int operations.  The truth tables become
+column indices through a digit grid: each column gets one run of binary
+digits, one per rule, and reads back with `int(run, 2)`.  No column walks
+the AST.
 The brute-force oracle evaluates one assignment at a time with
 `netlang.eval_expr`.  It shares with this module the state index codec
 and the node order of `netlang.postorder`, which both evaluators walk,
@@ -58,10 +60,6 @@ _BINARY = {
     Implies: lambda a, b, full: (full ^ a) | b,
     Iff: lambda a, b, full: full ^ a ^ b,
 }
-
-#: Per bit b < 8: byte translation of a binary text that maps '0' (false)
-#: to 1 << b and '1' (true) to 0.
-_FALSE_TO_BIT = tuple(bytes.maketrans(b"01", bytes((1 << b, 0))) for b in range(8))
 
 
 def _variable_masks(variables: Sequence[str], width: int) -> dict[str, int]:
@@ -116,26 +114,16 @@ def _columns(exprs: Sequence[Expr], variables: Sequence[str]) -> tuple[int, ...]
     if unknown:
         raise ValueError(f"unbound variables {sorted(unknown)}")
 
-    # Column t's index minus 1 has bit pos set where tables[r-1-pos] is
-    # false.  Each table's binary text is spread to one byte per column,
-    # 8 tables share a byte, and the bytes go into little-endian lanes
-    # wide enough for the index: a lane of L bytes holds up to 8L-1 bits
-    # of code plus the carry of the final +1.
-    r = len(tables)
-    lane = 1
-    while 8 * lane <= r:
-        lane *= 2
-    raw = bytearray(lane * width)
-    for byte in range((r + 7) // 8):
-        acc = 0
-        for bit, pos in enumerate(range(8 * byte, min(8 * byte + 8, r))):
-            text = format(tables[r - 1 - pos], f"0{width}b").encode()
-            # Big-endian read puts column t's character in byte t.
-            acc |= int.from_bytes(text.translate(_FALSE_TO_BIT[bit]), "big")
-        raw[byte::lane] = acc.to_bytes(width, "little")
-    ones = int.from_bytes(b"\1".ljust(lane, b"\0") * width, "little")
-    raw = (int.from_bytes(raw, "little") + ones).to_bytes(lane * width, "little")
-    return tuple(int.from_bytes(raw[i:i + lane], "little") for i in range(0, len(raw), lane))
+    # Column t's index minus 1, in binary, has one digit per rule, first
+    # rule first, which is 1 where that rule is false at t.  The grid is
+    # column-major: column t's digits are one run of r + 1 ASCII digits,
+    # behind a leading 0 so that r = 0 still reads as index 1.  format()
+    # prints the highest column first; reversing puts column 0 first.
+    step = len(tables) + 1
+    grid = bytearray(b"0") * (step * width)
+    for q, table in enumerate(tables, start=1):
+        grid[q::step] = format(full ^ table, f"0{width}b")[::-1].encode()
+    return tuple(int(grid[i:i + step], 2) + 1 for i in range(0, len(grid), step))
 
 
 def structure_matrix(e: Expr, variables: Sequence[str]) -> LogicalMatrix:

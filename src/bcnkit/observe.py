@@ -250,7 +250,7 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
     Only viable for small pair spaces (2n <= 12)."""
     if 2 * form.n > 12:
         raise SizeLimitError("dense pair-space closure is limited to 2n <= 12")
-    m_ext = BooleanMatrix.from_successors(1 << (2 * form.n), extended_system(form))
+    m_ext = BooleanMatrix.from_columns(1 << (2 * form.n), list(zip(*extended_system(form))))
     c_ext = controllability_matrix(m_ext)
     p0, pd = observability_setup(partition_pairs(form))
     return set_controllability_matrix(c_ext, index_matrix(p0), index_matrix(pd))

@@ -27,45 +27,42 @@ class StateSet(Record):
         ms = tuple(sorted(set(self.members)))
         bad = [s for s in ms if not 1 <= s <= self.universe]
         if bad:
-            raise ValueError(f"state indices {bad} outside 1..{self.universe}")
+            noun = "index" if len(bad) == 1 else "indices"
+            raise ValueError(
+                f"{len(bad)} state {noun} outside 1..{self.universe}, the first {_show_int(bad[0])}"
+            )
         object.__setattr__(self, "members", ms)
 
 
 class SetFamily(Record):
     """An ordered family of state subsets (order fixes index-matrix columns)."""
 
-    __slots__ = ("universe", "sets", "warnings")
+    __slots__ = ("universe", "sets")
     universe: int
     sets: tuple[StateSet, ...]
-    warnings: tuple[str, ...]
-
-    def __init__(self, universe, sets, warnings=()):
-        super().__init__(universe, sets, warnings)
-
-    def _key(self) -> tuple:
-        return self.universe, self.sets
 
     def __post_init__(self):
         if any(s.universe != self.universe for s in self.sets):
             raise ValueError("member sets disagree on universe size")
-        dupes = []
-        seen = {}
-        for k, s in enumerate(self.sets, start=1):
-            if s.members in seen:
-                dupes.append(f"set #{k} duplicates set #{seen[s.members]}")
-            else:
-                seen[s.members] = k
-        if dupes:
-            object.__setattr__(self, "warnings", self.warnings + tuple(dupes))
 
     def __len__(self) -> int:
         return len(self.sets)
+
+    def duplicates(self) -> tuple[str, ...]:
+        """One warning per set with the same members as an earlier set."""
+        seen: dict[tuple[int, ...], int] = {}
+        out = []
+        for k, s in enumerate(self.sets, start=1):
+            first = seen.setdefault(s.members, k)
+            if first != k:
+                out.append(f"set #{k} duplicates set #{first}")
+        return tuple(out)
 
 
 def one_step_matrix(form: AlgebraicForm) -> BooleanMatrix:
     """Boolean OR of the per-control column blocks of L."""
     maps = map(form.successors, range(1, form.control_count + 1))
-    return BooleanMatrix.from_successors(form.state_count, maps)
+    return BooleanMatrix.from_columns(form.state_count, list(zip(*maps)))
 
 
 def controllability_matrix(m: BooleanMatrix) -> BooleanMatrix:
@@ -89,11 +86,7 @@ def index_matrix(family: SetFamily) -> BooleanMatrix:
     """Column k is the 0/1 indicator vector of the k-th set."""
     if not family.sets:
         raise ValueError("empty set family")
-    bits = [0] * family.universe
-    for k, s in enumerate(family.sets):
-        for st in s.members:
-            bits[st - 1] |= 1 << k
-    return BooleanMatrix(family.universe, len(family.sets), bits)
+    return BooleanMatrix.from_columns(family.universe, [s.members for s in family.sets])
 
 
 def set_controllability_matrix(
@@ -120,6 +113,13 @@ def _parse_int(digits: str) -> int:
         return int(digits)
     except ValueError:
         raise ValueError(f"integer of {len(digits.lstrip('-'))} digits is too long") from None
+
+
+def _show_int(i: int) -> str:
+    """i itself, or its digit count if it has more than 20 digits."""
+    text = str(i)
+    digits = len(text.lstrip("-"))
+    return text if digits <= 20 else f"an integer of {digits} digits"
 
 
 def _parse_state(item, n: int) -> int:

@@ -5,9 +5,8 @@ their types as class annotations).  A record builds by position or
 keyword, runs ``__post_init__`` when the class defines one, and refuses
 assignment and deletion with ``AttributeError``; ``__post_init__`` may
 normalise a field with ``object.__setattr__``.  Two records are equal
-when they have the same type and equal ``_key()``, which is every field
-unless a subclass narrows it; the hash follows the same key.  The repr
-is ``Name(field=value, ...)``.
+when they have the same type and equal ``_key()``, which is every field;
+the hash follows the same key.  The repr is ``Name(field=value, ...)``.
 """
 
 from __future__ import annotations

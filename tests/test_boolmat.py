@@ -238,6 +238,64 @@ class TestPower:
             a.mul(a)
 
 
+#: Shapes for the seeded conversion checks: 1 x k, k x 1, and wider ones.
+SHAPES = [(1, 1), (1, 9), (9, 1), (5, 12), (13, 4)]
+
+
+def random_matrix(rng, rows, cols):
+    """Any bits, or sparse bits with some all-zero rows."""
+    if rng.random() < 0.5:
+        return BooleanMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+    return BooleanMatrix(rows, cols, [
+        rng.getrandbits(cols) & rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(rows)
+    ])
+
+
+class TestConversions:
+    """`from_columns` in, `_support` out: each against an entrywise
+    reference on seeded draws."""
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_from_columns(self, rows, cols):
+        rng = random.Random(rows * 100 + cols)
+        for _ in range(40):
+            # Some columns list no rows, some list a row more than once.
+            columns = [[rng.randint(1, rows) for _ in range(rng.choice([0, 0, 1, 3, 8]))]
+                       for _ in range(cols)]
+            m = BooleanMatrix.from_columns(rows, columns)
+            assert (m.rows, m.cols) == (rows, cols)
+            for i in range(1, rows + 1):
+                for k in range(1, cols + 1):
+                    assert m.get(i, k) == (i in columns[k - 1])
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_transpose(self, rows, cols):
+        rng = random.Random(rows * 100 + cols + 1)
+        for _ in range(40):
+            m = random_matrix(rng, rows, cols)
+            t = m.transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            for i in range(1, rows + 1):
+                for j in range(1, cols + 1):
+                    assert t.get(j, i) == m.get(i, j)
+            assert t.transpose() == m
+
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_kron(self, rows, cols):
+        rng = random.Random(rows * 100 + cols + 2)
+        for _ in range(10):
+            a = random_matrix(rng, rows, cols)
+            b = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            k = a.kron(b)
+            assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+            for i in range(a.rows):
+                for j in range(a.cols):
+                    for p in range(b.rows):
+                        for q in range(b.cols):
+                            entry = k.get(i * b.rows + p + 1, j * b.cols + q + 1)
+                            assert entry == a.get(i + 1, j + 1) & b.get(p + 1, q + 1)
+
+
 class TestLogicalMatrix:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):

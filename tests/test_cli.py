@@ -116,6 +116,9 @@ class TestSetControllability:
         pytest.param(_spec('[{"states": [-' + "9" * 5000 + "]}]"), id="huge-negative-int"),
         pytest.param(_spec('[{"states": [1]}, {"name": ' + "[" * 900 + "]" * 900 + ', "states": []}]'),
                      id="empty-set-deep-name"),
+        pytest.param(_spec('[{"states": [' + "9" * 4000 + "]}]"), id="long-out-of-range-int"),
+        pytest.param(_spec('[{"states": [' + ", ".join(map(str, range(3, 2003))) + "]}]"),
+                     id="many-out-of-range"),
         pytest.param(_spec('[{"states": [-1]}]'), id="negative"),
         pytest.param(_spec('[{"states": [[1]]}]'), id="nested"),
         pytest.param(_spec("[" * 100_000 + "]" * 100_000), id="deep-array"),

@@ -167,7 +167,8 @@ class TestAlgebraicForm:
         assert a.L == b.L and a.H == b.H
 
     def test_many_outputs(self):
-        # 70 output bits need index lanes wider than any array typecode.
+        # 70 output bits give 71-digit runs in the grid, and indices wider
+        # than any array typecode.
         states = ("x1", "x2")
         maps = tuple(Var(states[k % 2]) if k % 3 else Not(Var("x2")) for k in range(70))
         model = NetworkModel("wide", states, (), tuple(f"y{k}" for k in range(70)),

@@ -157,7 +157,7 @@ class TestIndexMatrix:
 
     def test_duplicate_sets_flagged(self):
         fam = family(4, (1, 2), (1, 2))
-        assert fam.warnings
+        assert fam.duplicates() == ("set #2 duplicates set #1",)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

@@ -85,18 +85,23 @@ def test_repr_names_every_field():
     assert repr(And(Var("x"), Const(1))) == "And(left=Var(name='x'), right=Const(value=1))"
 
 
-def test_set_family_equality_ignores_warnings():
-    s = StateSet(4, (1,))
-    noted = SetFamily(4, (s,), warnings=("note",))
-    assert noted.warnings == ("note",)
-    assert noted == SetFamily(4, (s,))
-    assert hash(noted) == hash(SetFamily(4, (s,)))
-    assert SetFamily(4, (s,)).warnings == ()
+def test_set_family_duplicates():
+    a, b = StateSet(4, (1,)), StateSet(4, (2, 1))
+    fam = SetFamily(4, (a, b, StateSet(4, (1, 2)), a, a))
+    assert fam.duplicates() == (
+        "set #3 duplicates set #2", "set #4 duplicates set #1", "set #5 duplicates set #1",
+    )
+    assert SetFamily(4, (a, b)).duplicates() == ()
+    assert fam == SetFamily(4, fam.sets) and hash(fam) == hash(SetFamily(4, fam.sets))
+    with pytest.raises(TypeError, match="takes the fields"):
+        SetFamily(4, (a,), warnings=())
 
 
 def test_post_init_checks_still_run():
-    with pytest.raises(ValueError, match="outside 1..4"):
+    with pytest.raises(ValueError, match="^2 state indices outside 1..4, the first 0$"):
         StateSet(4, (0, 5))
+    with pytest.raises(ValueError, match="^1 state index outside 1..4, the first an integer of 21 digits$"):
+        StateSet(4, (1, -10 ** 20))
     with pytest.raises(ValueError, match="outside 1..2"):
         LogicalMatrix(2, (1, 3))
     assert StateSet(4, (3, 1, 3)).members == (1, 3)
