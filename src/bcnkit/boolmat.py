@@ -20,10 +20,11 @@ gather plan below.
 A product A*B ORs together, for each row of A, the rows of B its set bits
 pick.  The first product with A on the left turns A into a gather plan
 (see `BooleanMatrix._gather_plan`) that is kept on A; every product then
-gathers and ORs rows of B with `operator.itemgetter` and `map`, so the
-Python-level steps per product depend on the shape of A's row supports,
-not on its number of ones.  The reachability closure multiplies the same
-one-step matrix on the left in every round, so it builds one plan.
+gathers and ORs rows of B with `operator.itemgetter` and `map`, one
+gather per support position of A's longest row, so the Python-level
+steps per product equal the size of that row's support, not A's number
+of ones.  The reachability closure multiplies the same one-step matrix
+on the left in every round, so it builds one plan.
 """
 
 from __future__ import annotations
@@ -172,48 +173,33 @@ class BooleanMatrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        slots, tails, unsort = self._plan or self._gather_plan()
+        slots, unsort = self._plan or self._gather_plan()
         ob = other._bits
         acc = [0] * self.rows
         for t, (w, get) in enumerate(slots):
             acc[:w] = map(or_, acc, get(ob)) if t else get(ob)
-        for q, get in tails:
-            acc[q] = reduce(or_, get(ob), acc[q])
         return BooleanMatrix(self.rows, other.cols, unsort(acc))
 
-    def _gather_plan(self) -> tuple[tuple, tuple, itemgetter]:
+    def _gather_plan(self) -> tuple[tuple, itemgetter]:
         """How to multiply by any right operand with self on the left.
 
         Rows are sorted by support size, largest first, so the rows that
         have a t-th set bit form a prefix, of width w_t, of that order.
-        Slot t < k is (w_t, a getter of those rows' t-th indices): one
-        C-level gather of right-operand rows per slot, ORed into the
-        prefix.  Each of the w_k rows longer than k keeps the rest of its
-        support as a tail, gathered and ORed in one call.  k minimises
-        k + w_k, the Python-level steps per product, so a tall sparse
-        factor runs as a few slots and a short wide one as a few tails.
-        The last getter puts the sorted rows back in their own order.
-
-        The plan is built on first use and kept; matrices are immutable,
-        so it cannot go stale.
+        Slot t is (w_t, a getter of those rows' t-th indices): a product
+        takes one C-level gather per support position of the longest row.
+        The last getter puts the rows back in order.  Matrices are
+        immutable, so the plan, built on first use and kept, cannot go stale.
         """
-        supports = [_support(b) for b in self._bits]
-        order = sorted(range(self.rows), key=lambda i: len(supports[i]), reverse=True)
-        ranked = [supports[i] for i in order]
-        # k + w_k is smallest where k is some row's length (or 0); the
-        # first ranked row q of that length has w_k = q rows above it.
-        lengths = [len(s) for s in ranked] + [0]
-        w_k = min(range(len(lengths)), key=lambda q: lengths[q] + q)
-        k = lengths[w_k]
+        order = sorted(range(self.rows), key=lambda i: self._bits[i].bit_count(), reverse=True)
+        ranked = [_support(self._bits[i]) for i in order]
         slots = []
         w = self.rows
-        for t in range(k):
+        for t in range(len(ranked[0])):
             while len(ranked[w - 1]) <= t:
                 w -= 1
             slots.append((w, _getter([s[t] for s in ranked[:w]])))
-        tails = tuple((q, _getter(ranked[q][k:])) for q in range(w_k))
         unsort = _getter(sorted(range(self.rows), key=order.__getitem__))
-        self._plan = tuple(slots), tails, unsort
+        self._plan = tuple(slots), unsort
         return self._plan
 
     def kron(self, other: "BooleanMatrix") -> "BooleanMatrix":

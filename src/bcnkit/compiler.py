@@ -26,7 +26,8 @@ from .boolmat import LogicalMatrix
 from .netlang import And, Const, Expr, Iff, Implies, NetworkModel, Not, Or, Var, Xor, postorder
 from .record import Record
 
-#: Flat compilation refuses models with more than this many state+input bits.
+#: Flat compilation refuses models with more than this many state+input bits,
+#: and output controllability models with more outputs (H has 2^p rows).
 MAX_FLAT_VARS = 20
 
 

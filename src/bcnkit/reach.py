@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .boolmat import BooleanMatrix, ShapeError
-from .compiler import AlgebraicForm, encode_state
+from .compiler import MAX_FLAT_VARS, AlgebraicForm, SizeLimitError, encode_state
 from .record import Record
 
 
@@ -98,9 +98,14 @@ def set_controllability_matrix(
 
 def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> BooleanMatrix:
     """H * C over the Boolean semiring; all-ones means every output value
-    is reachable from every initial state."""
+    is reachable from every initial state.  H has 2^p dense rows, so more
+    than `MAX_FLAT_VARS` outputs are refused before any is built."""
     if form.p == 0:
         raise ValueError("model has no outputs")
+    if form.p > MAX_FLAT_VARS:
+        raise SizeLimitError(
+            f"model has {form.p} outputs; output controllability is limited to {MAX_FLAT_VARS}"
+        )
     return form.H.to_boolean().mul(c)
 
 

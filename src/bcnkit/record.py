@@ -5,8 +5,11 @@ their types as class annotations).  A record builds by position or
 keyword, runs ``__post_init__`` when the class defines one, and refuses
 assignment and deletion with ``AttributeError``; ``__post_init__`` may
 normalise a field with ``object.__setattr__``.  Two records are equal
-when they have the same type and equal ``_key()``, which is every field;
-the hash follows the same key.  The repr is ``Name(field=value, ...)``.
+when they have the same type and equal fields; nested records are
+compared from an explicit stack, so a 3000-deep expression compares
+without recursion.  The hash covers the type and the fields, with each
+nested record replaced by its type, so equal records hash equal and no
+hash recurses.  The repr is ``Name(field=value, ...)``.
 """
 
 from __future__ import annotations
@@ -35,16 +38,25 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._key() == other._key()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            for name in a.__slots__:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, Record) and type(y) is type(x):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self):
-        return hash((type(self), self._key()))
+        fields = (getattr(self, name) for name in self.__slots__)
+        return hash((type(self), *(type(v) if isinstance(v, Record) else v for v in fields)))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

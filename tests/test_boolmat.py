@@ -180,12 +180,24 @@ class TestProduct:
         bm([[0], [1], [0]]),
         bm([[1, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]),
         bm([[1, 1, 1], [1, 0, 0], [0, 1, 0]]),
-    ], ids=["1x4", "1x4-one-bit", "1x4-zero", "3x1", "3x1-one-bit", "full-row", "skewed"])
+        # The 9-bit counter's H: one row of 511 ones and a one-bit row.
+        BooleanMatrix(2, 512, [(1 << 511) - 1, 1 << 511]),
+        # A Jd^T with sets of 300, 3 and 0 states.
+        BooleanMatrix(3, 512, [(1 << 300) - 1, 0b10101 << 200, 0]),
+        # A sink state: one full row among one-bit rows.
+        BooleanMatrix(64, 64, [(1 << 64) - 1 if i == 17 else 1 << (i * 7 % 64) for i in range(64)]),
+        # No set bit, so a plan with no slots, reused by every product.
+        BooleanMatrix(4, 4, [0, 0, 0, 0]),
+    ], ids=["1x4", "1x4-one-bit", "1x4-zero", "3x1", "3x1-one-bit", "full-row", "skewed",
+            "counter-H", "Jd-transposed", "sink-row", "4x4-zero"])
     def test_edge_shapes(self, a):
         rng = random.Random(a.rows * 31 + a.cols)
+        plan = None
         for cols in (1, 3, 9):
             b = BooleanMatrix(a.cols, cols, [rng.getrandbits(cols) for _ in range(a.cols)])
             assert a.mul(b) == naive_mul(a, b)
+            plan = plan or a._plan
+            assert a._plan is plan
 
     def test_one_left_factor_many_right_operands(self):
         rng = random.Random(5)

@@ -240,19 +240,23 @@ class TestExitContract:
         assert out == ""
         assert "--max-size: must be positive" in err
 
-    @pytest.mark.parametrize("argv, states, message", [
-        (["compile"], 21, "flat compilation is limited to 20"),
-        (["controllability", "--oracle"], 13, "reach oracle is limited to n+m <= 12"),
-        (["set-controllability", "--oracle"], 13, "reach oracle is limited to n+m <= 12"),
-        (["output-controllability", "--oracle"], 13, "reach oracle is limited to n+m <= 12"),
+    @pytest.mark.parametrize("argv, states, outputs, message", [
+        (["compile"], 21, 1, "flat compilation is limited to 20"),
+        (["controllability", "--oracle"], 13, 1, "reach oracle is limited to n+m <= 12"),
+        (["set-controllability", "--oracle"], 13, 1, "reach oracle is limited to n+m <= 12"),
+        (["output-controllability", "--oracle"], 13, 1, "reach oracle is limited to n+m <= 12"),
+        (["output-controllability"], 1, 70, "output controllability is limited to 20"),
+        (["output-controllability", "--oracle"], 1, 70, "output controllability is limited to 20"),
     ])
-    def test_size_limit_exits_2(self, capsys, tmp_path, argv, states, message):
+    def test_size_limit_exits_2(self, capsys, tmp_path, argv, states, outputs, message):
         # A command prints only after its analysis and its oracle check
         # ran, so a refused check leaves stdout empty.
         names = ", ".join(f"x{i}" for i in range(1, states + 1))
         rules = "\n".join(f"x{i}' = x{i}" for i in range(1, states + 1))
+        ys = [f"y{k}" for k in range(1, outputs + 1)]
+        maps = "\n".join(f"{y} = x1" for y in ys)
         mdl = tmp_path / "big.bcn"
-        mdl.write_text(f"network big\nstates: {names}\noutputs: y1\n{rules}\ny1 = x1\n")
+        mdl.write_text(f"network big\nstates: {names}\noutputs: {', '.join(ys)}\n{rules}\n{maps}\n")
         spec = tmp_path / "sets.json"
         spec.write_text(_spec('[{"states": [1]}]', '[{"states": [2]}]'))
         sets = ["--sets", spec] if argv[0] == "set-controllability" else []

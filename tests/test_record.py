@@ -11,7 +11,7 @@ import pytest
 import bcnkit
 import bcnkit.cli  # noqa: F401  (imports every module that defines a record)
 from bcnkit.boolmat import LogicalMatrix
-from bcnkit.netlang import And, Const, NetworkModel, Or, Var
+from bcnkit.netlang import And, Const, NetworkModel, Or, Var, parse_network
 from bcnkit.reach import SetFamily, StateSet
 from bcnkit.record import Record
 
@@ -48,6 +48,16 @@ def test_equal_records_hash_equal():
     b = And(Var("x"), Const(1))
     assert a is not b and hash(a) == hash(b)
     assert len({a, b, Or(Var("x"), Const(1))}) == 2
+
+
+def test_deep_records_compare_and_hash_without_recursion():
+    # 3000 nested records, beyond the interpreter's recursion limit.
+    head = "network f\nstates: x1, x2\nx1' = x1\nx2' = "
+    a = parse_network(head + " & ".join(["x1"] * 3000) + "\n")
+    b = parse_network(head + " & ".join(["x1"] * 3000) + "\n")
+    c = parse_network(head + " & ".join(["x1"] * 2999 + ["x2"]) + "\n")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c and not a == c
 
 
 def test_keyword_and_positional_construction_agree():
