@@ -97,6 +97,7 @@ def cmd_output_controllability(args) -> int:
     form = compiler.algebraic_form(model, args.max_size)
     if form.p == 0:
         raise CliError("model declares no outputs; output controllability is undefined")
+    reach.check_output_count(form)
     c = reach.controllability_matrix(reach.one_step_matrix(form))
     cy = reach.output_controllability_matrix(c, form)
     agree = None

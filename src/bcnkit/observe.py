@@ -13,11 +13,11 @@ from a single O(4^n * 2^m) pass.  Among the shortest sequences, the
 witness is the lexicographically smallest: at each step it takes the
 smallest control that brings the pair one step closer to Xi, read off
 the distances.  Swapping the two copies maps the pair graph onto
-itself, so (z, x) and (x, z) share their witness; built in ascending
-distance order, each Theta representative's witness is its first
-control followed by the witness already built for the representative
-one step closer.  The dense closure of the paired system
-(`dense_verdict_row`) stays as the paper's cross-check.
+itself, so (z, x) and (x, z) share their witness.  The report keeps one
+step per Theta representative (first control, T, the representative one
+step closer): a tree rooted in Xi, whose texts, rendered in ascending T,
+share their suffixes.  The dense closure (`dense_verdict_row`) of the
+paired system stays as the paper's cross-check.
 """
 
 from __future__ import annotations
@@ -35,16 +35,17 @@ MAX_PAIR_BYTES = 4 << 30
 def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
     """Estimated peak memory of `observability_verdict` with witnesses:
     4^n * (80 * 2^m + 220) bytes for the per-control maps, predecessor
-    lists, distances and pair sets, plus 8 bytes per control in the
-    witnesses (one tuple slot each).
+    lists, distances and pair sets, plus 8 bytes per witness control,
+    which bounds the rendered text (about 2 bytes per control each in the
+    witness texts, their lines and the joined report).
 
     Fitted to tracemalloc peaks on 24 seeded random models, n = 7-9,
     m = 0-3 (p = 1-2, short witnesses), where the backward search peaks
     before any witness is built: least squares gives 74 * 2^m + 201 bytes
     per pair, rounded up so that every measurement is at most 96% of the
-    estimate (24 more such draws: 85-95%).  Long witnesses grow with
-    their total length instead, 8^n on the n-bit counter: at n = 9 it
-    measured 254 MB against an estimate of 278 MB.
+    estimate (24 more such draws: 85-95%).  Long witnesses grow the text
+    with their total length instead, 8^n on the n-bit counter: at n = 9
+    the verdict and its rendering peaked at 186 MB against 278 MB.
     """
     return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
 
@@ -151,11 +152,20 @@ def observability_setup(part: PairPartition) -> tuple[SetFamily, SetFamily]:
 
 
 class ObservabilityReport(Record):
-    __slots__ = ("observable", "theta", "flags", "witnesses")
+    __slots__ = ("observable", "theta", "flags", "steps")
     observable: bool
     theta: tuple[tuple[int, int], ...]
     flags: tuple[bool, ...]  # distinguishable, per theta representative
-    witnesses: tuple[tuple[tuple[int, ...], int] | None, ...]  # (controls, T)
+    steps: tuple[tuple[int, int, int] | None, ...]  # (first control, T, next position, -1 in Xi)
+
+    @property
+    def witnesses(self) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
+        """(controls, T) per representative, walked along the steps."""
+        def controls(k):
+            while k >= 0:
+                j, _, k = self.steps[k]
+                yield j
+        return tuple(step and (tuple(controls(k)), step[1]) for k, step in enumerate(self.steps))
 
 
 def _distances(ext: PairMaps, xi: frozenset[int]) -> list[int]:
@@ -205,22 +215,21 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
     dist = _distances(ext, part.xi)
     reps = [pair_index(z, x, form.n) - 1 for z, x in part.theta]
     flags = tuple(dist[w] > 0 for w in reps)
+    steps: list[tuple[int, int, int] | None] = [None] * len(reps)
     if want_witnesses:
         _check_pair_budget(form.n, form.m, sum(dist[w] for w in reps if dist[w] > 0))
         nn = form.state_count
-        table: dict[int, tuple[int, ...]] = {}
-        for w in sorted((w for w in reps if dist[w] > 0), key=dist.__getitem__):
-            j, nxt = _first_step(ext, dist, w)
-            z, x = divmod(nxt, nn)
-            table[w] = (j,) + (table[min(z, x) * nn + max(z, x)] if dist[nxt] else ())
-        wits = tuple((table[w], dist[w]) if dist[w] > 0 else None for w in reps)
-    else:
-        wits = (None,) * len(reps)
+        position = {w: k for k, w in enumerate(reps)}
+        for k, w in enumerate(reps):
+            if dist[w] > 0:
+                j, nxt = _first_step(ext, dist, w)
+                z, x = sorted(divmod(nxt, nn))
+                steps[k] = (j, dist[w], position[z * nn + x] if dist[nxt] else -1)
     return ObservabilityReport(
         observable=all(flags),
         theta=part.theta,
         flags=flags,
-        witnesses=wits,
+        steps=tuple(steps),
     )
 
 
@@ -257,13 +266,18 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
 
 
 def render_report(report: ObservabilityReport, cs_row: BooleanMatrix | None = None) -> str:
-    """One line per Theta representative, then the global verdict."""
+    """One line per Theta representative, then the global verdict.  Built in ascending T,
+    a witness text is its first control, then the text of the representative one step on."""
+    steps = report.steps
+    text = [""] * len(steps)
+    for k in sorted((k for k, step in enumerate(steps) if step), key=lambda k: steps[k][1]):
+        j, _, nxt = steps[k]
+        text[k] = f"{j},{text[nxt]}" if nxt >= 0 else str(j)
     lines = []
-    for (z, x), flag, wit in zip(report.theta, report.flags, report.witnesses):
+    for (z, x), flag, step, wit in zip(report.theta, report.flags, steps, text):
         line = f"{{{z},{x}}} -> " + ("distinguishable" if flag else "indistinguishable")
-        if flag and wit is not None:
-            controls, t = wit
-            line += f" [witness: u=({','.join(map(str, controls))}),T={t}]"
+        if step:
+            line += f" [witness: u=({wit}),T={step[1]}]"
         lines.append(line)
     lines.append("verdict: " + ("observable" if report.observable else "not observable"))
     if cs_row is not None:

@@ -96,16 +96,21 @@ def set_controllability_matrix(
     return jd.transpose().mul(c).mul(j0)
 
 
-def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> BooleanMatrix:
-    """H * C over the Boolean semiring; all-ones means every output value
-    is reachable from every initial state.  H has 2^p dense rows, so more
-    than `MAX_FLAT_VARS` outputs are refused before any is built."""
-    if form.p == 0:
-        raise ValueError("model has no outputs")
+def check_output_count(form: AlgebraicForm) -> None:
+    """Refuse more than `MAX_FLAT_VARS` outputs: H * C needs H's 2^p
+    dense rows, so the refusal must come before H or C is built."""
     if form.p > MAX_FLAT_VARS:
         raise SizeLimitError(
             f"model has {form.p} outputs; output controllability is limited to {MAX_FLAT_VARS}"
         )
+
+
+def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> BooleanMatrix:
+    """H * C over the Boolean semiring; all-ones means every output value
+    is reachable from every initial state."""
+    if form.p == 0:
+        raise ValueError("model has no outputs")
+    check_output_count(form)
     return form.H.to_boolean().mul(c)
 
 

@@ -9,7 +9,8 @@ when they have the same type and equal fields; nested records are
 compared from an explicit stack, so a 3000-deep expression compares
 without recursion.  The hash covers the type and the fields, with each
 nested record replaced by its type, so equal records hash equal and no
-hash recurses.  The repr is ``Name(field=value, ...)``.
+hash recurses.  The repr is ``Name(field=value, ...)``, with nested
+records rendered from an explicit stack as well.
 """
 
 from __future__ import annotations
@@ -59,5 +60,18 @@ class Record:
         return hash((type(self), *(type(v) if isinstance(v, Record) else v for v in fields)))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+        # Stack items are text already rendered or records still to render.
+        out = []
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Record):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}("]
+            for k, name in enumerate(item.__slots__):
+                value = getattr(item, name)
+                nested = isinstance(value, Record) and type(value).__repr__ is Record.__repr__
+                parts += [f", {name}=" if k else f"{name}=", value if nested else repr(value)]
+            stack += reversed(parts + [")"])
+        return "".join(out)

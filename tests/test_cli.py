@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from bcnkit import reach
 from bcnkit.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -263,3 +264,24 @@ class TestExitContract:
         code, out, err = run(capsys, argv[0], mdl, *argv[1:], *sets)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("flags", [[], ["--emit-matrices"], ["--oracle"]])
+    def test_too_many_outputs_refused_before_closure(self, capsys, tmp_path, monkeypatch, flags):
+        # The output count is known right after compiling, so an 11-bit
+        # counter with 21 outputs is refused without its 2047-round closure.
+        def no_closure(m):
+            raise AssertionError("closure computed before the output count was checked")
+
+        monkeypatch.setattr(reach, "controllability_matrix", no_closure)
+        xs = [f"x{k}" for k in range(1, 12)]
+        ys = [f"y{k}" for k in range(1, 22)]
+        rules = [f"{x}' = {x} ^ (" + " & ".join(["u"] + xs[:k]) + ")" for k, x in enumerate(xs)]
+        maps = [f"{y} = {xs[k % 11]}" for k, y in enumerate(ys)]
+        mdl = tmp_path / "counter11.bcn"
+        mdl.write_text("\n".join([
+            "network counter11", "states: " + ", ".join(xs), "inputs: u", "outputs: " + ", ".join(ys),
+            *rules, *maps, "",
+        ]))
+        code, out, err = run(capsys, "output-controllability", mdl, *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: model has 21 outputs; output controllability is limited to 20\n"

@@ -331,3 +331,29 @@ class TestRendering:
         assert "{1,2} -> indistinguishable" in text
         assert "{3,4} -> distinguishable [witness: u=(5),T=1]" in text
         assert text.rstrip().endswith("verdict: not observable")
+
+    def test_witness_text_matches_single_pair_walks(self, monkeypatch):
+        # render_report writes each witness from the report's steps, never
+        # from the (controls, T) tuples: every Theta line must carry the
+        # text of the witness distinguishing_witness walks for its pair.
+        for name in ("extended_system", "partition_pairs", "_distances"):
+            monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
+        rng = random.Random(11)
+        forms = [algebraic_form(parse_network(_counter_text(6)))]
+        for _ in range(100):
+            forms.append(algebraic_form(random_model(rng, rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 2))))
+        checked = 0
+        for form in forms:
+            report = observability_verdict(form, want_witnesses=True)
+            lines = render_report(report).splitlines()
+            assert len(lines) == len(report.theta) + 1
+            for (z, x), line in zip(report.theta, lines):
+                wit = distinguishing_witness(form, z, x)
+                head = f"{{{z},{x}}} -> "
+                if wit is None:
+                    assert line == head + "indistinguishable"
+                else:
+                    controls, t = wit
+                    assert line == head + f"distinguishable [witness: u=({','.join(map(str, controls))}),T={t}]"
+                    checked += t > 1
+        assert checked > 1000

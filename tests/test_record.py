@@ -11,7 +11,7 @@ import pytest
 import bcnkit
 import bcnkit.cli  # noqa: F401  (imports every module that defines a record)
 from bcnkit.boolmat import LogicalMatrix
-from bcnkit.netlang import And, Const, NetworkModel, Or, Var, parse_network
+from bcnkit.netlang import And, Const, NetworkModel, Not, Or, Var, parse_network
 from bcnkit.reach import SetFamily, StateSet
 from bcnkit.record import Record
 
@@ -93,6 +93,14 @@ def test_fields_cannot_be_assigned_or_deleted():
 
 def test_repr_names_every_field():
     assert repr(And(Var("x"), Const(1))) == "And(left=Var(name='x'), right=Const(value=1))"
+
+
+def test_deep_record_repr_without_recursion():
+    # 5000 nested records, beyond the interpreter's recursion limit.
+    expr = Var("x")
+    for _ in range(5000):
+        expr = Not(expr)
+    assert repr(expr) == "Not(operand=" * 5000 + "Var(name='x')" + ")" * 5000
 
 
 def test_set_family_duplicates():
