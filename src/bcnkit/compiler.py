@@ -30,10 +30,68 @@ from .record import Record
 #: and output controllability models with more outputs (H has 2^p rows).
 MAX_FLAT_VARS = 20
 
+#: Runs whose estimated peak memory (`closure_bytes`, `pair_space_bytes`)
+#: exceeds this many bytes are refused, half of an 8 GiB machine.
+MAX_BYTES = 4 << 30
+
 
 class SizeLimitError(ValueError):
-    """A model or pair space exceeds the size ceiling of the requested
-    analysis."""
+    """A model exceeds a size limit of the requested analysis (`check_size`)."""
+
+
+def closure_bytes(n: int, outputs: int = 0, emit: bool = False) -> int:
+    """Estimated peak memory of closing the 2^n x 2^n one-step matrix: 24 MiB,
+    9/16 byte per entry of C (about four packed matrices live at once), 192 B
+    per row of a 2^outputs-row H * C and, with `emit`, 3 B per entry of the
+    widest printed matrix (2 at n = 13-14, 3 at n = 11-12).  Fitted to `bcn`'s
+    peak RSS (`os.wait4`, `ulimit -v`): the shift register, whose closure rows
+    fill up, peaked at 27, 49, 142 and 510 MiB for n = 12-15, at most 85%."""
+    return (24 << 20) + (9 << 2 * n >> 4) + (192 << outputs) + (3 << n + max(n, outputs) if emit else 0)
+
+
+def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
+    """Estimated peak memory of `observe.observability_verdict`:
+    4^n * (80 * 2^m + 220) bytes for the per-control maps, predecessor
+    lists, distances and pair sets, plus 8 bytes per witness control,
+    which bounds the rendered text (about 2 bytes per control each in the
+    witness texts, their lines and the joined report).  Fitted to
+    tracemalloc peaks on 24 seeded random models, n = 7-9, m = 0-3
+    (p = 1-2, short witnesses), where the search peaks before any witness
+    is built: least squares gives 74 * 2^m + 201 bytes per pair, rounded
+    up so that every measurement is at most 96% of the estimate (24 more
+    draws: 85-95%).  Long witnesses grow the text with their total
+    length, 8^n on the n-bit counter: at n = 9 the verdict and its
+    rendering peaked at 186 MB against 278 MB."""
+    return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
+
+
+def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,
+               witness_steps: int = 0) -> None:
+    """Raise the one `SizeLimitError` for the first of the stages, in this
+    order, too large for n states, m inputs and p outputs: "compile"
+    (n + m <= max_vars), "outputs" (p <= 20), "closure" (printing too with
+    "emit"), "pairs", "reach_oracle" (n + m <= 12), "distinguish_oracle"
+    (2n <= 20), "dense_row" (2n <= 12).  Only `witness_steps` needs work."""
+    budget = f"bytes; limit is {MAX_BYTES:,}"
+    if "compile" in stages and n + m > max_vars:
+        text = f"model has {n + m} state+input variables; flat compilation is limited to {max_vars}"
+    elif "outputs" in stages and p > MAX_FLAT_VARS:
+        text = f"model has {p} outputs; output controllability is limited to {MAX_FLAT_VARS}"
+    elif "closure" in stages and (
+            need := closure_bytes(n, p if "outputs" in stages else 0, "emit" in stages)) > MAX_BYTES:
+        printed = "printed " if "emit" in stages else ""
+        text = f"{printed}dense closure over 2^{n} states needs an estimated {need:,} {budget}"
+    elif "pairs" in stages and (need := pair_space_bytes(n, m, witness_steps)) > MAX_BYTES:
+        text = f"pair space of 2^{2 * n} pairs under 2^{m} controls needs an estimated {need:,} {budget}"
+    elif "reach_oracle" in stages and n + m > 12:
+        text = "reach oracle is limited to n+m <= 12"
+    elif "distinguish_oracle" in stages and 2 * n > 20:
+        text = "distinguishability oracle is limited to 2n <= 20"
+    elif "dense_row" in stages and 2 * n > 12:
+        text = "dense pair-space closure is limited to 2n <= 12"
+    else:
+        return
+    raise SizeLimitError(text)
 
 
 def encode_state(bits: Sequence[int]) -> int:
@@ -172,11 +230,7 @@ def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> Algebr
     assignments.  L orders its variables inputs first, so its columns
     come in one block of 2^n per control."""
     n, m, p = model.n, model.m, model.p
-    if n + m > max_vars:
-        raise SizeLimitError(
-            f"model has {n + m} state+input variables; flat compilation "
-            f"is limited to {max_vars}"
-        )
+    check_size(n, m, p, ("compile",), max_vars)
     L = LogicalMatrix(1 << n, _columns(model.updates, model.inputs + model.states))
     H = LogicalMatrix(1 << p, _columns(model.output_maps, model.states))
     return AlgebraicForm(n, m, p, L, H)

@@ -17,47 +17,17 @@ itself, so (z, x) and (x, z) share their witness.  The report keeps one
 step per Theta representative (first control, T, the representative one
 step closer): a tree rooted in Xi, whose texts, rendered in ascending T,
 share their suffixes.  The dense closure (`dense_verdict_row`) of the
-paired system stays as the paper's cross-check.
+paired system stays as the paper's cross-check.  `check_size` refuses
+a pair space too large for memory before building it, and too many
+witness controls after the search.
 """
 
 from __future__ import annotations
 
 from .boolmat import BooleanMatrix
-from .compiler import AlgebraicForm, SizeLimitError
+from .compiler import AlgebraicForm, SizeLimitError, check_size
 from .reach import SetFamily, StateSet, controllability_matrix, index_matrix, set_controllability_matrix
 from .record import Record
-
-#: Pair-space runs whose estimated peak memory (`pair_space_bytes`)
-#: exceeds this many bytes are refused, half of an 8 GiB machine.
-MAX_PAIR_BYTES = 4 << 30
-
-
-def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
-    """Estimated peak memory of `observability_verdict` with witnesses:
-    4^n * (80 * 2^m + 220) bytes for the per-control maps, predecessor
-    lists, distances and pair sets, plus 8 bytes per witness control,
-    which bounds the rendered text (about 2 bytes per control each in the
-    witness texts, their lines and the joined report).
-
-    Fitted to tracemalloc peaks on 24 seeded random models, n = 7-9,
-    m = 0-3 (p = 1-2, short witnesses), where the backward search peaks
-    before any witness is built: least squares gives 74 * 2^m + 201 bytes
-    per pair, rounded up so that every measurement is at most 96% of the
-    estimate (24 more such draws: 85-95%).  Long witnesses grow the text
-    with their total length instead, 8^n on the n-bit counter: at n = 9
-    the verdict and its rendering peaked at 186 MB against 278 MB.
-    """
-    return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
-
-
-def _check_pair_budget(n: int, m: int, witness_steps: int = 0) -> None:
-    need = pair_space_bytes(n, m, witness_steps)
-    if need > MAX_PAIR_BYTES:
-        raise SizeLimitError(
-            f"pair space of 2^{2 * n} pairs under 2^{m} controls needs an estimated "
-            f"{need:,} bytes; limit is {MAX_PAIR_BYTES:,}"
-        )
-
 
 def pair_index(z: int, x: int, n: int) -> int:
     """Index of the joint state (z, x) in 1..2^(2n): (z-1)*2^n + x."""
@@ -122,9 +92,9 @@ PairMaps = tuple[tuple[int, ...], ...]
 def extended_system(form: AlgebraicForm) -> PairMaps:
     """Pair each control's successor slice of L with itself: control j
     sends (z, x) to (L_j z, L_j x), enumerated directly.  Refuses a model
-    whose pair space would not fit in `MAX_PAIR_BYTES`, before any of it
-    is built."""
-    _check_pair_budget(form.n, form.m)
+    whose pair space would not fit in `compiler.MAX_BYTES`, before any of
+    it is built."""
+    check_size(form.n, form.m, form.p, ("pairs",))
     nn = form.state_count
     maps = []
     for j in range(1, form.control_count + 1):
@@ -217,7 +187,7 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
     flags = tuple(dist[w] > 0 for w in reps)
     steps: list[tuple[int, int, int] | None] = [None] * len(reps)
     if want_witnesses:
-        _check_pair_budget(form.n, form.m, sum(dist[w] for w in reps if dist[w] > 0))
+        check_size(form.n, form.m, form.p, ("pairs",), witness_steps=sum(max(dist[w], 0) for w in reps))
         nn = form.state_count
         position = {w: k for k, w in enumerate(reps)}
         for k, w in enumerate(reps):
@@ -257,8 +227,7 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
     """Cross-check engine: the 1 x |Theta| set-controllability row
     Jd^T * C_ext * J0 computed with dense closure on the pair space.
     Only viable for small pair spaces (2n <= 12)."""
-    if 2 * form.n > 12:
-        raise SizeLimitError("dense pair-space closure is limited to 2n <= 12")
+    check_size(form.n, form.m, form.p, ("dense_row",))
     m_ext = BooleanMatrix.from_columns(1 << (2 * form.n), list(zip(*extended_system(form))))
     c_ext = controllability_matrix(m_ext)
     p0, pd = observability_setup(partition_pairs(form))

@@ -16,7 +16,7 @@ import random
 from collections import deque
 
 from .boolmat import BooleanMatrix
-from .compiler import SizeLimitError, decode_state, encode_state
+from .compiler import SizeLimitError, check_size, decode_state, encode_state
 from .netlang import (
     And,
     Const,
@@ -54,8 +54,7 @@ def transition_graph(model: NetworkModel) -> tuple[tuple[int, ...], ...]:
 
 def reach_oracle(model: NetworkModel) -> BooleanMatrix:
     """Entry (i, j) = 1 iff BFS from j reaches i in at least one step."""
-    if model.n + model.m > 12:
-        raise SizeLimitError("reach oracle is limited to n+m <= 12")
+    check_size(model.n, model.m, model.p, ("reach_oracle",))
     successors = transition_graph(model)
     nn = len(successors)
     bits = [0] * nn
@@ -78,8 +77,7 @@ def distinguish_oracle(model: NetworkModel) -> tuple[tuple[tuple[int, int], bool
     """For each unordered pair z < x with equal current output, BFS over
     joint states driven by a shared control; the pair is distinguishable
     iff some reachable joint state (any depth) has differing outputs."""
-    if 2 * model.n > 20:
-        raise SizeLimitError("distinguishability oracle is limited to 2n <= 20")
+    check_size(model.n, model.m, model.p, ("distinguish_oracle",))
     if model.p == 0:
         raise ValueError("model has no outputs")
     nn = 1 << model.n

@@ -4,7 +4,9 @@ The one-step matrix M has M(i,a)=1 when some control moves state a to
 state i; its reachability closure C (at least one step) decides plain
 controllability.  Set-level questions reduce to the Boolean triple
 product Jd^T * C * J0 of the closure with 0/1 indicator matrices of the
-initial and destination set families.
+initial and destination set families.  `compiler.check_size` refuses
+a closure too large for memory (`bcn`, before compiling) and H * C with
+more than 20 outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .boolmat import BooleanMatrix, ShapeError
-from .compiler import MAX_FLAT_VARS, AlgebraicForm, SizeLimitError, encode_state
+from .compiler import AlgebraicForm, check_size, encode_state
 from .record import Record
 
 
@@ -96,21 +98,12 @@ def set_controllability_matrix(
     return jd.transpose().mul(c).mul(j0)
 
 
-def check_output_count(form: AlgebraicForm) -> None:
-    """Refuse more than `MAX_FLAT_VARS` outputs: H * C needs H's 2^p
-    dense rows, so the refusal must come before H or C is built."""
-    if form.p > MAX_FLAT_VARS:
-        raise SizeLimitError(
-            f"model has {form.p} outputs; output controllability is limited to {MAX_FLAT_VARS}"
-        )
-
-
 def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> BooleanMatrix:
     """H * C over the Boolean semiring; all-ones means every output value
     is reachable from every initial state."""
     if form.p == 0:
         raise ValueError("model has no outputs")
-    check_output_count(form)
+    check_size(form.n, form.m, form.p, ("outputs",))
     return form.H.to_boolean().mul(c)
 
 

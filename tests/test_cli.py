@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from bcnkit import reach
+from bcnkit import compiler, reach
 from bcnkit.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -241,6 +241,19 @@ class TestExitContract:
         assert out == ""
         assert "--max-size: must be positive" in err
 
+    #: The `compiler.check_size` calls exactly at the bound each refusal
+    #: below names: (stages, n, p); a byte budget is set to the estimate.
+    AT_LIMIT = {
+        "flat compilation is limited to 20": [(("compile",), 20, 1)],
+        "reach oracle is limited to n+m <= 12": [(("reach_oracle",), 12, 1)],
+        "output controllability is limited to 20": [(("outputs",), 1, 20)],
+        "dense closure over 2^17 states": [(("closure",), 16, 1), (("outputs", "closure"), 16, 20)],
+        "dense closure over 2^16 states": [(("closure", "emit"), 15, 1),
+                                           (("outputs", "closure", "emit"), 15, 20)],
+        "pair space of 2^24 pairs": [(("pairs",), 11, 1), (("dense_row",), 6, 1)],
+        "distinguishability oracle is limited to 2n <= 20": [(("distinguish_oracle",), 10, 1)],
+    }
+
     @pytest.mark.parametrize("argv, states, outputs, message", [
         (["compile"], 21, 1, "flat compilation is limited to 20"),
         (["controllability", "--oracle"], 13, 1, "reach oracle is limited to n+m <= 12"),
@@ -248,10 +261,33 @@ class TestExitContract:
         (["output-controllability", "--oracle"], 13, 1, "reach oracle is limited to n+m <= 12"),
         (["output-controllability"], 1, 70, "output controllability is limited to 20"),
         (["output-controllability", "--oracle"], 1, 70, "output controllability is limited to 20"),
+        (["controllability"], 21, 1, "flat compilation is limited to 20"),
+        (["set-controllability"], 21, 1, "flat compilation is limited to 20"),
+        (["output-controllability"], 21, 1, "flat compilation is limited to 20"),
+        (["observability"], 21, 1, "flat compilation is limited to 20"),
+        (["output-controllability"], 1, 21, "output controllability is limited to 20"),
+        (["output-controllability", "--emit-matrices"], 1, 21, "output controllability is limited to 20"),
+        (["controllability"], 17, 1, "dense closure over 2^17 states"),
+        (["set-controllability"], 17, 1, "dense closure over 2^17 states"),
+        (["output-controllability"], 17, 1, "dense closure over 2^17 states"),
+        (["controllability", "--emit-matrices"], 16, 1, "dense closure over 2^16 states"),
+        (["set-controllability", "--emit-matrices"], 16, 1, "dense closure over 2^16 states"),
+        (["output-controllability", "--emit-matrices"], 16, 1, "dense closure over 2^16 states"),
+        (["observability"], 12, 1, "pair space of 2^24 pairs"),
+        (["observability", "--witness"], 12, 1, "pair space of 2^24 pairs"),
+        (["observability", "--emit-matrices"], 12, 1, "pair space of 2^24 pairs"),
+        (["observability", "--oracle"], 11, 1, "distinguishability oracle is limited to 2n <= 20"),
+        (["output-controllability"], 2, 0, "model declares no outputs; output controllability is undefined"),
+        (["observability", "--witness"], 2, 0, "model declares no outputs; observability is undefined"),
     ])
-    def test_size_limit_exits_2(self, capsys, tmp_path, argv, states, outputs, message):
-        # A command prints only after its analysis and its oracle check
-        # ran, so a refused check leaves stdout empty.
+    def test_size_limit_exits_2(self, capsys, tmp_path, monkeypatch, argv, states, outputs, message):
+        # Every limit is checked before compiling, and a command prints
+        # only after its analysis and its oracle check ran, so a refused
+        # run leaves stdout empty.
+        def no_compile(*args):
+            raise AssertionError("compiled before the size check")
+
+        monkeypatch.setattr(compiler, "algebraic_form", no_compile)
         names = ", ".join(f"x{i}" for i in range(1, states + 1))
         rules = "\n".join(f"x{i}' = x{i}" for i in range(1, states + 1))
         ys = [f"y{k}" for k in range(1, outputs + 1)]
@@ -264,6 +300,14 @@ class TestExitContract:
         code, out, err = run(capsys, argv[0], mdl, *argv[1:], *sets)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1 and len(err) < 120, err
+        for stages, n, p in self.AT_LIMIT.get(message, []):
+            if "closure" in stages:
+                need = compiler.closure_bytes(n, p if "outputs" in stages else 0, "emit" in stages)
+                monkeypatch.setattr(compiler, "MAX_BYTES", need)
+            elif "pairs" in stages:
+                monkeypatch.setattr(compiler, "MAX_BYTES", compiler.pair_space_bytes(n, 0))
+            compiler.check_size(n, 0, p, stages)
 
     @pytest.mark.parametrize("flags", [[], ["--emit-matrices"], ["--oracle"]])
     def test_too_many_outputs_refused_before_closure(self, capsys, tmp_path, monkeypatch, flags):

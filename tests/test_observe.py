@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bcnkit import observe
+from bcnkit import compiler, observe
 from bcnkit.boolmat import BooleanMatrix
 from bcnkit.cli import main
 from bcnkit.compiler import AlgebraicForm, SizeLimitError, algebraic_form
@@ -103,7 +103,7 @@ class TestSizeGuard:
 
     @pytest.fixture
     def small_budget(self, monkeypatch):
-        monkeypatch.setattr(observe, "MAX_PAIR_BYTES", 1000)
+        monkeypatch.setattr(compiler, "MAX_BYTES", 1000)
 
     @pytest.mark.parametrize("query", [
         lambda form: observability_verdict(form, want_witnesses=True),
@@ -125,7 +125,7 @@ class TestSizeGuard:
     def test_thirteen_states_refused(self, partition_calls, tmp_path, capsys):
         # n = 13: 2^26 pairs, about 24 GiB by the estimate at m = 1.
         form = algebraic_form(parse_network(_counter_text(13)))
-        assert observe.pair_space_bytes(13, 1) > observe.MAX_PAIR_BYTES
+        assert compiler.pair_space_bytes(13, 1) > compiler.MAX_BYTES
         with pytest.raises(SizeLimitError, match=r"2\^26 pairs"):
             observability_verdict(form)
         model = tmp_path / "counter13.bcn"
@@ -139,7 +139,7 @@ class TestSizeGuard:
         # A budget that holds the pair space of the 3-bit counter but not
         # its witnesses refuses only the run that builds the witnesses.
         form = algebraic_form(parse_network(_counter_text(3)))
-        monkeypatch.setattr(observe, "MAX_PAIR_BYTES", observe.pair_space_bytes(3, 1))
+        monkeypatch.setattr(compiler, "MAX_BYTES", compiler.pair_space_bytes(3, 1))
         assert observability_verdict(form).observable
         with pytest.raises(SizeLimitError):
             observability_verdict(form, want_witnesses=True)
