@@ -24,7 +24,15 @@ gathers and ORs rows of B with `operator.itemgetter` and `map`, one
 gather per support position of A's longest row, so the Python-level
 steps per product equal the size of that row's support, not A's number
 of ones.  The reachability closure multiplies the same one-step matrix
-on the left in every round, so it builds one plan.
+on the left in every round, so it builds one plan.  When the plan's sort
+keeps the row order, as for the counter's one-step matrix, whose rows all
+have two ones, a product skips the un-sort.
+
+Products and sums build their results with `BooleanMatrix._unchecked`,
+without re-checking that every row fits the column count: their rows are
+ORs of rows already in range.  The public constructors, `from_rows`,
+`from_columns`, `transpose` and `kron` keep the checks, since their rows
+or indices come from outside.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 from functools import reduce
 from math import lcm
 from operator import itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .record import Record
 
@@ -63,6 +71,17 @@ class BooleanMatrix:
         self._plan = None
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _unchecked(cls, rows: int, cols: int, row_bits: Iterable[int]) -> "BooleanMatrix":
+        """A result whose rows are in range by construction: the checks
+        of `__init__` are skipped, but the rows are still kept as a tuple."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self._bits = tuple(row_bits)
+        self._plan = None
+        return self
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence[int]]) -> "BooleanMatrix":
@@ -161,7 +180,7 @@ class BooleanMatrix:
             raise ShapeError(
                 f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}"
             )
-        return BooleanMatrix(self.rows, self.cols, map(or_, self._bits, other._bits))
+        return BooleanMatrix._unchecked(self.rows, self.cols, map(or_, self._bits, other._bits))
 
     def mul(self, other: "BooleanMatrix") -> "BooleanMatrix":
         """Conventional matrix product with AND for *, OR for +.
@@ -178,16 +197,18 @@ class BooleanMatrix:
         acc = [0] * self.rows
         for t, (w, get) in enumerate(slots):
             acc[:w] = map(or_, acc, get(ob)) if t else get(ob)
-        return BooleanMatrix(self.rows, other.cols, unsort(acc))
+        return BooleanMatrix._unchecked(self.rows, other.cols, unsort(acc))
 
-    def _gather_plan(self) -> tuple[tuple, itemgetter]:
+    def _gather_plan(self) -> tuple[tuple, Callable]:
         """How to multiply by any right operand with self on the left.
 
         Rows are sorted by support size, largest first, so the rows that
         have a t-th set bit form a prefix, of width w_t, of that order.
         Slot t is (w_t, a getter of those rows' t-th indices): a product
         takes one C-level gather per support position of the longest row.
-        The last getter puts the rows back in order.  Matrices are
+        The last step puts the rows back in order; when the stable sort
+        left them in place (every row with the same support size, as in
+        the counter's one-step matrix), it is just `tuple`.  Matrices are
         immutable, so the plan, built on first use and kept, cannot go stale.
         """
         order = sorted(range(self.rows), key=lambda i: self._bits[i].bit_count(), reverse=True)
@@ -198,7 +219,10 @@ class BooleanMatrix:
             while len(ranked[w - 1]) <= t:
                 w -= 1
             slots.append((w, _getter([s[t] for s in ranked[:w]])))
-        unsort = _getter(sorted(range(self.rows), key=order.__getitem__))
+        if order == list(range(self.rows)):
+            unsort = tuple
+        else:
+            unsort = _getter(sorted(range(self.rows), key=order.__getitem__))
         self._plan = tuple(slots), unsort
         return self._plan
 

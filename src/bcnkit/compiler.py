@@ -72,7 +72,6 @@ def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,
     (n + m <= max_vars), "outputs" (p <= 20), "closure" (printing too with
     "emit"), "pairs", "reach_oracle" (n + m <= 12), "distinguish_oracle"
     (2n <= 20), "dense_row" (2n <= 12).  Only `witness_steps` needs work."""
-    budget = f"bytes; limit is {MAX_BYTES:,}"
     if "compile" in stages and n + m > max_vars:
         text = f"model has {n + m} state+input variables; flat compilation is limited to {max_vars}"
     elif "outputs" in stages and p > MAX_FLAT_VARS:
@@ -80,9 +79,9 @@ def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,
     elif "closure" in stages and (
             need := closure_bytes(n, p if "outputs" in stages else 0, "emit" in stages)) > MAX_BYTES:
         printed = "printed " if "emit" in stages else ""
-        text = f"{printed}dense closure over 2^{n} states needs an estimated {need:,} {budget}"
+        text = f"{printed}dense closure over 2^{n} states {_needs(need)}"
     elif "pairs" in stages and (need := pair_space_bytes(n, m, witness_steps)) > MAX_BYTES:
-        text = f"pair space of 2^{2 * n} pairs under 2^{m} controls needs an estimated {need:,} {budget}"
+        text = f"pair space of 2^{2 * n} pairs under 2^{m} controls {_needs(need)}"
     elif "reach_oracle" in stages and n + m > 12:
         text = "reach oracle is limited to n+m <= 12"
     elif "distinguish_oracle" in stages and 2 * n > 20:
@@ -92,6 +91,13 @@ def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,
     else:
         return
     raise SizeLimitError(text)
+
+
+def _needs(need: int) -> str:
+    """The tail of a byte-budget refusal.  The estimate is given by its
+    leading power of two: printed in full, its digits grow with n and m
+    past the one short line a refusal is, and past 2^1024 it has no float."""
+    return f"needs an estimated 2^{need.bit_length() - 1}+ bytes; limit is {MAX_BYTES:,}"
 
 
 def encode_state(bits: Sequence[int]) -> int:

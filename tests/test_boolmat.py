@@ -188,8 +188,10 @@ class TestProduct:
         BooleanMatrix(64, 64, [(1 << 64) - 1 if i == 17 else 1 << (i * 7 % 64) for i in range(64)]),
         # No set bit, so a plan with no slots, reused by every product.
         BooleanMatrix(4, 4, [0, 0, 0, 0]),
+        # The counter's M: every row has a support of 2, so the plan keeps the row order.
+        BooleanMatrix(16, 16, [1 << i | 1 << (i + 1) % 16 for i in range(16)]),
     ], ids=["1x4", "1x4-one-bit", "1x4-zero", "3x1", "3x1-one-bit", "full-row", "skewed",
-            "counter-H", "Jd-transposed", "sink-row", "4x4-zero"])
+            "counter-H", "Jd-transposed", "sink-row", "4x4-zero", "counter-M"])
     def test_edge_shapes(self, a):
         rng = random.Random(a.rows * 31 + a.cols)
         plan = None

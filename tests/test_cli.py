@@ -309,6 +309,25 @@ class TestExitContract:
                 monkeypatch.setattr(compiler, "MAX_BYTES", compiler.pair_space_bytes(n, 0))
             compiler.check_size(n, 0, p, stages)
 
+    @pytest.mark.parametrize("stages", [
+        ("compile",), ("outputs",), ("closure",), ("closure", "emit"), ("outputs", "closure", "emit"),
+        ("pairs",), ("reach_oracle",), ("distinguish_oracle",), ("dense_row",),
+    ])
+    def test_every_refusal_is_one_short_line(self, stages):
+        # `--max-size` lets n and m grow past the defaults, and the byte
+        # estimates pass 2^1024, so no refusal may print them in full.
+        sizes = [*range(65), 5000, 10 ** 5]
+        refused = 0
+        for n in sizes:
+            for m in sizes:
+                for max_vars in {compiler.MAX_FLAT_VARS, max(n + m - 1, 1)}:
+                    try:
+                        compiler.check_size(n, m, m, stages, max_vars)
+                    except compiler.SizeLimitError as e:
+                        refused += 1
+                        assert len(f"error: {e}") < 120 and "\n" not in str(e), str(e)
+        assert refused
+
     @pytest.mark.parametrize("flags", [[], ["--emit-matrices"], ["--oracle"]])
     def test_too_many_outputs_refused_before_closure(self, capsys, tmp_path, monkeypatch, flags):
         # The output count is known right after compiling, so an 11-bit
