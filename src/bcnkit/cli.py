@@ -5,6 +5,12 @@ Exit codes: 0 when the queried property holds, 1 when it does not,
 `main` checks every size limit of a command with one `compiler.check_size`
 call before compiling, and each command runs its analysis and --oracle
 check before printing, so a refusal prints nothing.
+
+Every run pays for each module it imports, so only `compiler` and
+`netlang` load with this module: each command imports the engine it runs
+(`reach` or `observe`) and, under --oracle only, `oracle`.  Engine calls
+go through the module (`reach.controllability_matrix(...)`), so a patched
+module attribute is what runs.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import boolmat, compiler, netlang, observe, oracle, reach
+from . import compiler, netlang
 
 
 class CliError(Exception):
@@ -23,8 +29,10 @@ def _load_model(path: str) -> netlang.NetworkModel:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except OSError as exc:  # its text ends with the path
         raise CliError(f"cannot read model file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read model file: {exc}: {path!r}") from exc
     try:
         return netlang.parse_network(text)
     except netlang.NetworkParseError as exc:
@@ -46,6 +54,7 @@ def _oracle_status(agree: bool | None, status: int) -> int:
 
 
 def _load_sets(path: str, n: int) -> tuple[reach.SetFamily, reach.SetFamily]:
+    from . import reach
     try:
         with open(path, encoding="utf-8") as fh:
             p0, pd = reach.load_set_spec(fh.read(), n)
@@ -62,9 +71,13 @@ def cmd_compile(args, model, form) -> int:
 
 
 def cmd_controllability(args, model, form) -> int:
+    from . import reach
     m = reach.one_step_matrix(form)
     c = reach.controllability_matrix(m)
-    agree = oracle.reach_oracle(model) == c if args.oracle else None
+    agree = None
+    if args.oracle:
+        from . import oracle
+        agree = oracle.reach_oracle(model) == c
     holds = c.is_all_ones()
     print("controllable" if holds else "not controllable")
     if args.emit_matrices:
@@ -73,11 +86,13 @@ def cmd_controllability(args, model, form) -> int:
 
 
 def cmd_set_controllability(args, model, form) -> int:
+    from . import reach
     c = reach.controllability_matrix(reach.one_step_matrix(form))
     j0, jd = map(reach.index_matrix, args.families)
     cs = reach.set_controllability_matrix(c, j0, jd)
     agree = None
     if args.oracle:
+        from . import oracle
         agree = reach.set_controllability_matrix(oracle.reach_oracle(model), j0, jd) == cs
     holds = cs.is_all_ones()
     print("set controllable" if holds else "not set controllable")
@@ -87,10 +102,12 @@ def cmd_set_controllability(args, model, form) -> int:
 
 
 def cmd_output_controllability(args, model, form) -> int:
+    from . import reach
     c = reach.controllability_matrix(reach.one_step_matrix(form))
     cy = reach.output_controllability_matrix(c, form)
     agree = None
     if args.oracle:
+        from . import oracle
         agree = reach.output_controllability_matrix(oracle.reach_oracle(model), form) == cy
     holds = cy.is_all_ones()
     print("output controllable" if holds else "not output controllable")
@@ -100,9 +117,11 @@ def cmd_output_controllability(args, model, form) -> int:
 
 
 def cmd_observability(args, model, form) -> int:
+    from . import boolmat, observe
     report = observe.observability_verdict(form, want_witnesses=args.witness)
     agree = None
     if args.oracle:
+        from . import oracle
         agree = dict(oracle.distinguish_oracle(model)) == dict(zip(report.theta, report.flags))
     cs_row = None
     if args.emit_matrices and report.flags:

@@ -17,7 +17,9 @@ itself, so (z, x) and (x, z) share their witness.  The report keeps one
 step per Theta representative (first control, T, the representative one
 step closer): a tree rooted in Xi, whose texts, rendered in ascending T,
 share their suffixes.  The dense closure (`dense_verdict_row`) of the
-paired system stays as the paper's cross-check.  `check_size` refuses
+paired system stays as the paper's cross-check; it and
+`observability_setup` import `reach` when called, so the verdict path
+does not load it.  `check_size` refuses
 a pair space too large for memory before building it, and too many
 witness controls after the search.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from .boolmat import BooleanMatrix
 from .compiler import AlgebraicForm, SizeLimitError, check_size
-from .reach import SetFamily, StateSet, controllability_matrix, index_matrix, set_controllability_matrix
 from .record import Record
 
 def pair_index(z: int, x: int, n: int) -> int:
@@ -112,6 +113,8 @@ def observability_setup(part: PairPartition) -> tuple[SetFamily, SetFamily]:
     """Initial family: one singleton per Theta representative, in
     representative order.  Destination family: the single set Xi (both
     orientations)."""
+    from .reach import SetFamily, StateSet
+
     universe = 1 << (2 * part.n)
     p0 = SetFamily(
         universe,
@@ -227,6 +230,8 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
     """Cross-check engine: the 1 x |Theta| set-controllability row
     Jd^T * C_ext * J0 computed with dense closure on the pair space.
     Only viable for small pair spaces (2n <= 12)."""
+    from .reach import controllability_matrix, index_matrix, set_controllability_matrix
+
     check_size(form.n, form.m, form.p, ("dense_row",))
     m_ext = BooleanMatrix.from_columns(1 << (2 * form.n), list(zip(*extended_system(form))))
     c_ext = controllability_matrix(m_ext)

@@ -11,8 +11,6 @@ more than 20 outputs.
 
 from __future__ import annotations
 
-import json
-
 from .boolmat import BooleanMatrix, ShapeError
 from .compiler import AlgebraicForm, check_size, encode_state
 from .record import Record
@@ -156,6 +154,8 @@ def load_set_spec(text: str, n: int) -> tuple[SetFamily, SetFamily]:
     """Parse the JSON set-specification format; returns (initial,
     destination) families over the 2^n state universe.  States may be
     1-based indices or bit strings like "101" (first state bit first)."""
+    import json  # loaded here, so only the command that reads a set spec pays for it
+
     try:
         doc = json.loads(text, parse_int=_parse_int)
     except RecursionError:

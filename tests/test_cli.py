@@ -31,6 +31,15 @@ class TestCompile:
         assert code == 2
         assert "error:" in err
 
+    def test_model_not_utf8(self, capsys, tmp_path):
+        # A decoding failure is reported like any unreadable model file.
+        bad = tmp_path / "latin1.bcn"
+        bad.write_bytes(b"\xffnetwork x\nstates: a\na' = a\n")
+        code, out, err = run(capsys, "compile", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read model file: ") and err.count("\n") == 1
+        assert repr(str(bad)) in err
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.bcn"
         bad.write_text("network x\nstates: a\na' = a &\n")
@@ -185,6 +194,16 @@ class TestUsage:
 
     def test_missing_required_sets(self, capsys):
         assert main(["set-controllability", str(MODELS / "toy.bcn")]) == 2
+
+    @pytest.mark.parametrize("argv", [[], ["compile"], ["controllability"], ["set-controllability"],
+                                      ["output-controllability"], ["observability"]],
+                             ids=lambda argv: " ".join(["bcn", *argv]))
+    def test_help(self, capsys, argv):
+        # --help is answered by the parser, which is built (reading
+        # compiler.MAX_FLAT_VARS) before a command imports its engine.
+        code, out, err = run(capsys, *argv, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: bcn", *argv]))
 
 
 class TestExitContract:

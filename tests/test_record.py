@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bcnkit
-import bcnkit.cli  # noqa: F401  (imports every module that defines a record)
+from bcnkit import observe  # noqa: F401  (with what it imports, every module that defines a record)
 from bcnkit.boolmat import LogicalMatrix
 from bcnkit.netlang import And, Const, NetworkModel, Not, Or, Var, parse_network
 from bcnkit.reach import SetFamily, StateSet
