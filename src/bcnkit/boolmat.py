@@ -305,6 +305,19 @@ class LogicalMatrix(Record):
     def to_boolean(self) -> BooleanMatrix:
         return BooleanMatrix.from_columns(self.rows, [(c,) for c in self.col_index])
 
+    def mul(self, other: BooleanMatrix) -> BooleanMatrix:
+        """The Boolean product with a dense right operand, equal to
+        `self.to_boolean().mul(other)`: row i ORs the rows of other at the
+        columns k whose index is i, so rows no column names stay zero."""
+        if self.cols != other.rows:
+            raise ShapeError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        acc = [0] * self.rows
+        for i, b in zip(self.col_index, other._bits):
+            acc[i - 1] |= b
+        return BooleanMatrix._unchecked(self.rows, other.cols, acc)
+
     def to_text(self) -> str:
         """Canonical form: 'delta <rows> [c1 c2 ... cr]'."""
         return f"delta {self.rows} [{' '.join(map(str, self.col_index))}]"

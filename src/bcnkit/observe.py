@@ -12,15 +12,19 @@ graph gives every pair's distance to Xi at once, so all verdicts come
 from a single O(4^n * 2^m) pass.  Among the shortest sequences, the
 witness is the lexicographically smallest: at each step it takes the
 smallest control that brings the pair one step closer to Xi, read off
-the distances.  Swapping the two copies maps the pair graph onto
-itself, so (z, x) and (x, z) share their witness.  The report keeps one
-step per Theta representative (first control, T, the representative one
-step closer): a tree rooted in Xi, whose texts, rendered in ascending T,
-share their suffixes.  The dense closure (`dense_verdict_row`) of the
-paired system stays as the paper's cross-check; it and
-`observability_setup` import `reach` when called, so the verdict path
-does not load it.  `check_size` refuses
-a pair space too large for memory before building it, and too many
+the distances.  `_first_steps` is that one step rule: it tries each
+control once, in ascending order, over every pair still without a step.
+The verdict makes one such sweep over all distinguishable Theta
+representatives, and `distinguishing_witness` one per step of its pair.
+Swapping the two copies maps the pair graph onto itself, so (z, x) and
+(x, z) share their witness.  The report keeps one step per Theta
+representative (first control, T, the representative one step closer,
+found through a position list over both orientations): a tree rooted in
+Xi, whose texts, rendered in ascending T, share their suffixes.  The
+dense closure (`dense_verdict_row`) of the paired system stays as the
+paper's cross-check; it and `observability_setup` import `reach` when
+called, so the verdict path does not load it.  `check_size` refuses a
+pair space too large for memory before building it, and too many
 witness controls after the search.
 """
 
@@ -39,49 +43,48 @@ def pair_index(z: int, x: int, n: int) -> int:
 
 
 class PairPartition(Record):
-    """D / Theta / Xi split of the 2^(2n) joint indices.
+    """Theta / Xi split of the 2^(2n) joint indices; the diagonal D is the
+    rest.
 
     theta holds only the z < x representatives, in ascending pair-index
-    order; theta_ordered and xi hold both orientations.
+    order; xi holds both orientations.  The verdict reads only these two,
+    so `diagonal` and `theta_ordered` (both orientations) are built on
+    demand.
     """
 
-    __slots__ = ("n", "diagonal", "theta", "theta_ordered", "xi")
+    __slots__ = ("n", "theta", "xi")
     n: int
-    diagonal: frozenset[int]
     theta: tuple[tuple[int, int], ...]
-    theta_ordered: frozenset[int]
     xi: frozenset[int]
 
     @property
     def theta_indices(self) -> tuple[int, ...]:
         return tuple(pair_index(z, x, self.n) for z, x in self.theta)
 
+    @property
+    def theta_ordered(self) -> frozenset[int]:
+        n = self.n
+        return frozenset(pair_index(a, b, n) for z, x in self.theta for a, b in ((z, x), (x, z)))
+
+    @property
+    def diagonal(self) -> frozenset[int]:
+        nn = 1 << self.n
+        return frozenset(range(1, nn * nn + 1, nn + 1))
+
 
 def partition_pairs(form: AlgebraicForm) -> PairPartition:
     outputs = form.H.col_index
-    diag = []
+    nn = len(outputs)
     theta = []
-    theta_all = []
     xi = []
-    w = 0
     for z, hz in enumerate(outputs, start=1):
+        w = (z - 1) * nn  # pair_index(z, x, n) - x
         for x, hx in enumerate(outputs, start=1):
-            w += 1  # pair_index(z, x, n)
-            if z == x:
-                diag.append(w)
-            elif hz == hx:
-                theta_all.append(w)
-                if z < x:
-                    theta.append((z, x))
-            else:
-                xi.append(w)
-    return PairPartition(
-        n=form.n,
-        diagonal=frozenset(diag),
-        theta=tuple(theta),
-        theta_ordered=frozenset(theta_all),
-        xi=frozenset(xi),
-    )
+            if hz != hx:
+                xi.append(w + x)
+            elif z < x:
+                theta.append((z, x))
+    return PairPartition(n=form.n, theta=tuple(theta), xi=frozenset(xi))
 
 
 #: Per-control successor maps on the pair space, kept as index arrays
@@ -167,37 +170,54 @@ def _distances(ext: PairMaps, xi: frozenset[int]) -> list[int]:
     return dist
 
 
-def _first_step(ext: PairMaps, dist: list[int], w: int) -> tuple[int, int]:
-    """The smallest control j that moves the 0-based pair w (at a positive
-    distance) one step closer to Xi, and the 0-based pair it moves to.
-    Taking it at every step spells the lexicographically smallest shortest
-    sequence, the one a forward breadth-first search trying controls in
-    ascending order would find."""
-    d = dist[w] - 1
-    return next((j, mp[w] - 1) for j, mp in enumerate(ext, start=1) if dist[mp[w] - 1] == d)
+def _first_steps(ext: PairMaps, dist: list[int], pairs: list[int]) -> list[tuple[int, int]]:
+    """For each 0-based pair w of pairs (each at a positive distance), the
+    smallest control j that moves w one step closer to Xi, and the 0-based
+    pair it moves to.  Each control is tried once, in ascending order,
+    over the pairs that have no step yet, so the smallest one that
+    qualifies wins.  Taking it at every step spells the lexicographically
+    smallest shortest sequence, the one a forward breadth-first search
+    trying controls in ascending order would find."""
+    steps: list = [None] * len(pairs)
+    todo = [(k, w, dist[w] - 1) for k, w in enumerate(pairs)]
+    for j, mp in enumerate(ext, start=1):
+        left = []
+        for item in todo:
+            k, w, d = item
+            nxt = mp[w] - 1
+            if dist[nxt] == d:
+                steps[k] = (j, nxt)
+            else:
+                left.append(item)
+        todo = left
+    return steps
 
 
 def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> ObservabilityReport:
     """Distances to Xi of every pair from one backward search; a Theta
     representative is distinguishable exactly when its distance is
-    positive (Theta and Xi are disjoint, so T >= 1)."""
+    positive (Theta and Xi are disjoint, so T >= 1).  With witnesses, one
+    `_first_steps` sweep gives every distinguishable representative its
+    step, and a position list over both orientations of each
+    representative names the representative one step closer (-1 in Xi)."""
     if form.p == 0:
         raise ValueError("observability needs at least one output")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
     dist = _distances(ext, part.xi)
-    reps = [pair_index(z, x, form.n) - 1 for z, x in part.theta]
-    flags = tuple(dist[w] > 0 for w in reps)
+    nn = form.state_count
+    reps = [(z - 1) * nn + x - 1 for z, x in part.theta]  # pair_index(z, x, n) - 1
+    ts = [dist[w] for w in reps]
+    flags = tuple(t > 0 for t in ts)
     steps: list[tuple[int, int, int] | None] = [None] * len(reps)
     if want_witnesses:
-        check_size(form.n, form.m, form.p, ("pairs",), witness_steps=sum(max(dist[w], 0) for w in reps))
-        nn = form.state_count
-        position = {w: k for k, w in enumerate(reps)}
-        for k, w in enumerate(reps):
-            if dist[w] > 0:
-                j, nxt = _first_step(ext, dist, w)
-                z, x = sorted(divmod(nxt, nn))
-                steps[k] = (j, dist[w], position[z * nn + x] if dist[nxt] else -1)
+        live = [k for k, t in enumerate(ts) if t > 0]
+        check_size(form.n, form.m, form.p, ("pairs",), witness_steps=sum([ts[k] for k in live]))
+        position = [-1] * len(dist)
+        for k, (z, x) in enumerate(part.theta):
+            position[(z - 1) * nn + x - 1] = position[(x - 1) * nn + z - 1] = k
+        for k, (j, nxt) in zip(live, _first_steps(ext, dist, [reps[k] for k in live])):
+            steps[k] = (j, ts[k], position[nxt])
     return ObservabilityReport(
         observable=all(flags),
         theta=part.theta,
@@ -221,7 +241,7 @@ def distinguishing_witness(
         return None
     controls = []
     for _ in range(dist[w]):
-        j, w = _first_step(ext, dist, w)
+        [(j, w)] = _first_steps(ext, dist, [w])
         controls.append(j)
     return tuple(controls), len(controls)
 
@@ -241,18 +261,17 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
 
 def render_report(report: ObservabilityReport, cs_row: BooleanMatrix | None = None) -> str:
     """One line per Theta representative, then the global verdict.  Built in ascending T,
-    a witness text is its first control, then the text of the representative one step on."""
+    a witness text is its first control, then the text of the representative one step on.
+    Each line then replaces its witness text in the same list, so the texts and the
+    lines are never all held at once."""
     steps = report.steps
-    text = [""] * len(steps)
+    lines = [""] * len(steps)
     for k in sorted((k for k, step in enumerate(steps) if step), key=lambda k: steps[k][1]):
         j, _, nxt = steps[k]
-        text[k] = f"{j},{text[nxt]}" if nxt >= 0 else str(j)
-    lines = []
-    for (z, x), flag, step, wit in zip(report.theta, report.flags, steps, text):
-        line = f"{{{z},{x}}} -> " + ("distinguishable" if flag else "indistinguishable")
-        if step:
-            line += f" [witness: u=({wit}),T={step[1]}]"
-        lines.append(line)
+        lines[k] = f"{j},{lines[nxt]}" if nxt >= 0 else str(j)
+    for k, ((z, x), flag, step) in enumerate(zip(report.theta, report.flags, steps)):
+        lines[k] = (f"{{{z},{x}}} -> distinguishable [witness: u=({lines[k]}),T={step[1]}]" if step
+                    else f"{{{z},{x}}} -> {'distinguishable' if flag else 'indistinguishable'}")
     lines.append("verdict: " + ("observable" if report.observable else "not observable"))
     if cs_row is not None:
         lines.append(cs_row.to_text())

@@ -73,10 +73,12 @@ def reach_oracle(model: NetworkModel) -> BooleanMatrix:
     return BooleanMatrix(nn, nn, bits)
 
 
-def distinguish_oracle(model: NetworkModel) -> tuple[tuple[tuple[int, int], bool], ...]:
-    """For each unordered pair z < x with equal current output, BFS over
-    joint states driven by a shared control; the pair is distinguishable
-    iff some reachable joint state (any depth) has differing outputs."""
+def distinguish_distances(model: NetworkModel) -> tuple[tuple[tuple[int, int], int | None], ...]:
+    """For each unordered pair z < x with equal current output, the length
+    of a shortest shared control sequence after which the two outputs
+    differ, or None when none does: a breadth-first search over joint
+    states from (z, x), which stops at the first joint state with
+    differing outputs, so that state is one of the nearest."""
     check_size(model.n, model.m, model.p, ("distinguish_oracle",))
     if model.p == 0:
         raise ValueError("model has no outputs")
@@ -89,22 +91,29 @@ def distinguish_oracle(model: NetworkModel) -> tuple[tuple[tuple[int, int], bool
         for x in range(z + 1, nn + 1):
             if out[z - 1] != out[x - 1]:
                 continue
-            flag = False
+            dist = None
             seen = {(z, x)}
-            queue = deque(((z, x),))
-            while queue and not flag:
-                a, b = queue.popleft()
+            queue = deque((((z, x), 0),))
+            while queue and dist is None:
+                (a, b), d = queue.popleft()
                 for j in controls:
                     nxt = (_step(model, a, j), _step(model, b, j))
                     if nxt in seen:
                         continue
                     seen.add(nxt)
                     if out[nxt[0] - 1] != out[nxt[1] - 1]:
-                        flag = True
+                        dist = d + 1
                         break
-                    queue.append(nxt)
-            results.append(((z, x), flag))
+                    queue.append((nxt, d + 1))
+            results.append(((z, x), dist))
     return tuple(results)
+
+
+def distinguish_oracle(model: NetworkModel) -> tuple[tuple[tuple[int, int], bool], ...]:
+    """For each unordered pair z < x with equal current output, whether
+    some shared control sequence drives the two into differing outputs
+    (`distinguish_distances` finds a shortest one)."""
+    return tuple((pair, d is not None) for pair, d in distinguish_distances(model))
 
 
 # -- random model generation (for cross-validation runs) ---------------------

@@ -4,9 +4,10 @@ The one-step matrix M has M(i,a)=1 when some control moves state a to
 state i; its reachability closure C (at least one step) decides plain
 controllability.  Set-level questions reduce to the Boolean triple
 product Jd^T * C * J0 of the closure with 0/1 indicator matrices of the
-initial and destination set families.  `compiler.check_size` refuses
-a closure too large for memory (`bcn`, before compiling) and H * C with
-more than 20 outputs.
+initial and destination set families; H * C is built by output value,
+each row the OR of C's rows over the states with that output, so H is
+never made dense.  `compiler.check_size` refuses a closure too large for
+memory (`bcn`, before compiling) and H * C with more than 20 outputs.
 """
 
 from __future__ import annotations
@@ -98,11 +99,13 @@ def set_controllability_matrix(
 
 def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> BooleanMatrix:
     """H * C over the Boolean semiring; all-ones means every output value
-    is reachable from every initial state."""
+    is reachable from every initial state.  Row v is the OR of C's rows
+    over the states whose output is v (`LogicalMatrix.mul`), so H is
+    never made dense."""
     if form.p == 0:
         raise ValueError("model has no outputs")
     check_size(form.n, form.m, form.p, ("outputs",))
-    return form.H.to_boolean().mul(c)
+    return form.H.mul(c)
 
 
 # -- set-specification files ------------------------------------------------

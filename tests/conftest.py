@@ -12,6 +12,16 @@ def load_model(name):
     return parse_network((MODELS / name).read_text())
 
 
+def counter_text(n):
+    """The n-bit counter: xk' = xk ^ (u & x1 & ... & x(k-1)), y = x1 & ... & xn."""
+    xs = [f"x{k}" for k in range(1, n + 1)]
+    lines = [f"network counter{n}", "states: " + ", ".join(xs), "inputs: u", "outputs: y"]
+    for k in range(n):
+        lines.append(f"{xs[k]}' = {xs[k]} ^ (" + " & ".join(["u"] + xs[:k]) + ")")
+    lines.append("y = " + " & ".join(xs))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def toy_model():
     return load_model("toy.bcn")

@@ -319,6 +319,20 @@ class TestLogicalMatrix:
         with pytest.raises(ValueError, match=r"column indices \[0, 3\] outside 1..2"):
             LogicalMatrix(2, (1, 0, 2, 3))
 
+    @pytest.mark.parametrize("rows,cols", SHAPES)
+    def test_product_matches_dense(self, rows, cols):
+        # Rows no column names stay zero; a row several columns name ORs
+        # the right operand's rows at all of them.
+        rng = random.Random(rows * 100 + cols + 3)
+        for _ in range(20):
+            a = LogicalMatrix(rows, tuple(rng.randint(1, rows) for _ in range(cols)))
+            b = random_matrix(rng, cols, rng.randint(1, 9))
+            assert a.mul(b) == naive_mul(a.to_boolean(), b)
+
+    def test_product_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            LogicalMatrix(2, (1, 2, 2)).mul(BooleanMatrix.identity(2))
+
 
 class TestSerialization:
     def test_canonical_forms(self):

@@ -1,9 +1,11 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from bcnkit import compiler, reach
 from bcnkit.cli import main
+from conftest import counter_text
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -187,6 +189,83 @@ class TestObservability:
         assert code == 2
         assert "no outputs" in err
 
+
+#: The flag sets of `bcn observability` whose output is pinned below.
+OBSERVABILITY_FLAGS = {
+    "plain": [],
+    "witness": ["--witness"],
+    "emit": ["--emit-matrices"],
+    "witness-emit": ["--witness", "--emit-matrices"],
+}
+
+#: sha256 of "<exit code>\n<stdout>" of `bcn observability` for each model
+#: (the 3- to 6-bit counters and the shipped models) and each flag set, in
+#: the order of OBSERVABILITY_FLAGS.  An engine change that moves one byte
+#: of a verdict, witness or C_S row fails here.
+OBSERVABILITY_DIGESTS = {
+    "counter3": (
+        "f647225080f1ab28ac7f6573b695e688d76233a14db2cc1359c96c5e602ccee3",
+        "8c209939a8e0160e42fca1f5a6c397a718b709e8e5bdc76d98435ac67023b75c",
+        "0373c36941f3a129a802db8d3e848a97e12675551aa70b628f615c7100b03e65",
+        "33d6e62a6db8291aa045b44da7c7c0201c23f4c34f900d9016a8ac740e778336",
+    ),
+    "counter4": (
+        "ebcd5ae44ad9b690e3c460116f607a2ebeba00005b48980a63a6155fab1e225c",
+        "bd7ee4f516b57ea243dfcfdcd68a60256553bdc0fa551bea70e4c3eaecca7920",
+        "175e43427cd1f8bc85a609e7137d78b785475c47768bf53db1301ccc4786f330",
+        "e8bdf52e07b10f7ffbd78ab339dd0f7b89297666f7dd60bfd5c2864977b098ff",
+    ),
+    "counter5": (
+        "a3bf27fec7f42952264d175c010f0e8e43a2611ec8b0152a6a756bcdaed242c7",
+        "0628e32ccfd426003a0f7d1f7f6ce7b97490e33e6f34aaa595767398747494e9",
+        "5b87a94c0905047b317563fb1cbd090521bacefc0ffbb21d0766560478ceaef1",
+        "21f68ce8622396ae6eed23496fa49b37e47032c6cef2cf4b7769df74ddd3ae67",
+    ),
+    "counter6": (
+        "237c0dbf856b738083ff08b71cc44a1114025d66051d70072300cb9c9e75258a",
+        "26c2f50a1589b5416de33d477f8009b9157f88ba5fcf7e15b5eba43d22635ed3",
+        "44e13c459c71d21f0e7791bc31b198b0d2fc0ec97715a6ba0138d0056bc08c4d",
+        "5d6f8546e4f3e18db80c1c77dc1247ce30a736667540ea82c8f5bc81a62f083f",
+    ),
+    "lac_case1": (
+        "b0415be8c91c35afbf30f6e954528e5189384ec2cc0b5ea614bd72116aae11c8",
+        "5b5fccb869b246a7ec753ce3bdbabbf4cbcc7416e43a161b9a522d57f87ad4d3",
+        "9e4233b17297550ebf4260e5fb8f731731ba741a28b0a28f5180bb46cd3b6150",
+        "d4b6bfb06a4aabc66742c6d7088076439ed6dc46c5824b6d5d3918ec09efee65",
+    ),
+    "lac_case2": (
+        "4b01ccd464194926af4d0b5df8e4ce1128a3cabfabd564ca372e47c57cde1953",
+        "153351c7bb7b7679fa6018ea37872ec83f72339d14f838da848f36b08d20c2fc",
+        "b9868a60ceefda3f12d31c1c6df0e73cd1fb97a468e595dca78847410d290ad8",
+        "257fe380d2057e487c83deebcb5efd9d6d6259d84d3698393b778bb371d8f938",
+    ),
+    "lac_operon": (
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
+    "toy": (
+        "091460b89b490ce6d2cb2fcf32bdd628eca61716c0790fb6228f94827528b07b",
+        "9f9280242976d124bf31268f8e00276cbbb5f8fdfa7d39a6e29ec0a2f56ddf56",
+        "14c949dc7293f603492ed7856ecbb5f5100ceee0f24ccd049a1fc9b79ab7155f",
+        "3b8d65b1cddb49eb933d386a0453307a539772c716a4009b040c1e3edb03c22f",
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name, flags", [
+        (name, flags) for name in OBSERVABILITY_DIGESTS for flags in OBSERVABILITY_FLAGS
+    ], ids=lambda value: value)
+    def test_observability_bytes(self, capsys, tmp_path, name, flags):
+        path = MODELS / f"{name}.bcn"
+        if name.startswith("counter"):
+            path = tmp_path / f"{name}.bcn"
+            path.write_text(counter_text(int(name.removeprefix("counter"))))
+        code, out, _ = run(capsys, "observability", path, *OBSERVABILITY_FLAGS[flags])
+        digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        assert digest == OBSERVABILITY_DIGESTS[name][list(OBSERVABILITY_FLAGS).index(flags)]
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -20,7 +20,8 @@ from bcnkit.observe import (
     partition_pairs,
     render_report,
 )
-from bcnkit.oracle import random_model
+from bcnkit.oracle import distinguish_distances, random_model
+from conftest import counter_text
 
 
 class TestPairIndex:
@@ -124,12 +125,12 @@ class TestSizeGuard:
 
     def test_thirteen_states_refused(self, partition_calls, tmp_path, capsys):
         # n = 13: 2^26 pairs, about 24 GiB by the estimate at m = 1.
-        form = algebraic_form(parse_network(_counter_text(13)))
+        form = algebraic_form(parse_network(counter_text(13)))
         assert compiler.pair_space_bytes(13, 1) > compiler.MAX_BYTES
         with pytest.raises(SizeLimitError, match=r"2\^26 pairs"):
             observability_verdict(form)
         model = tmp_path / "counter13.bcn"
-        model.write_text(_counter_text(13))
+        model.write_text(counter_text(13))
         assert main(["observability", str(model), "--witness"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
@@ -138,7 +139,7 @@ class TestSizeGuard:
     def test_witness_length_counted(self, monkeypatch):
         # A budget that holds the pair space of the 3-bit counter but not
         # its witnesses refuses only the run that builds the witnesses.
-        form = algebraic_form(parse_network(_counter_text(3)))
+        form = algebraic_form(parse_network(counter_text(3)))
         monkeypatch.setattr(compiler, "MAX_BYTES", compiler.pair_space_bytes(3, 1))
         assert observability_verdict(form).observable
         with pytest.raises(SizeLimitError):
@@ -254,7 +255,7 @@ class TestWitness:
         for name in ("extended_system", "partition_pairs", "_distances"):
             monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
         rng = random.Random(8)
-        forms = [algebraic_form(parse_network(_counter_text(6)))]
+        forms = [algebraic_form(parse_network(counter_text(6)))]
         for _ in range(200):
             forms.append(algebraic_form(random_model(rng, rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 2))))
         checked = 0
@@ -270,16 +271,6 @@ def _lands_in_xi(form, z, x, controls):
     for j in controls:
         z, x = form.successors(j)[z - 1], form.successors(j)[x - 1]
     return form.H.column(z) != form.H.column(x)
-
-
-def _counter_text(n):
-    """The n-bit counter: xk' = xk ^ (u & x1 & ... & x(k-1)), y = x1 & ... & xn."""
-    xs = [f"x{k}" for k in range(1, n + 1)]
-    lines = [f"network counter{n}", "states: " + ", ".join(xs), "inputs: u", "outputs: y"]
-    for k in range(n):
-        lines.append(f"{xs[k]}' = {xs[k]} ^ (" + " & ".join(["u"] + xs[:k]) + ")")
-    lines.append("y = " + " & ".join(xs))
-    return "\n".join(lines) + "\n"
 
 
 class TestWitnessChoice:
@@ -309,9 +300,47 @@ class TestWitnessChoice:
                 ties += next(landing, None) is not None
         assert checked > 100 and ties > 20
 
+    def test_steps_follow_oracle_distances(self):
+        # The verdict and distinguishing_witness share one step rule, so it
+        # is checked against distances from the brute-force oracle: each
+        # representative's step takes the smallest control whose successor
+        # pair is one step closer to Xi and points at that pair's
+        # representative, or at -1 once in Xi.  `ties` makes sure the draws
+        # include pairs where a larger control also qualifies.
+        rng = random.Random(1729)
+        models = [parse_network(counter_text(4))]
+        for _ in range(150):
+            models.append(random_model(rng, rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 2)))
+        checked = ties = 0
+        for model in models:
+            form = algebraic_form(model)
+            out = form.H.col_index
+            ref = dict(distinguish_distances(model))
+
+            def distance(a, b):
+                # 0 in Xi; None on the diagonal and for indistinguishable pairs.
+                return 0 if out[a - 1] != out[b - 1] else ref.get((min(a, b), max(a, b)))
+
+            report = observability_verdict(form, want_witnesses=True)
+            for (z, x), step in zip(report.theta, report.steps):
+                t = ref[(z, x)]
+                if t is None:
+                    assert step is None, (z, x)
+                    continue
+                successors = [(succ[z - 1], succ[x - 1])
+                              for succ in map(form.successors, range(1, form.control_count + 1))]
+                closer = [j for j, pair in enumerate(successors, start=1) if distance(*pair) == t - 1]
+                j, steps_t, position = step
+                assert (j, steps_t) == (closer[0], t), (z, x)
+                a, b = successors[j - 1]
+                assert position == (-1 if t == 1 else report.theta.index((min(a, b), max(a, b)))), (z, x)
+                checked += 1
+                ties += len(closer) > 1
+        assert checked > 1000 and ties > 20
+
     def test_counter_needs_long_witnesses(self):
         n = 6
-        form = algebraic_form(parse_network(_counter_text(n)))
+        form = algebraic_form(parse_network(counter_text(n)))
         report = observability_verdict(form, want_witnesses=True)
         assert report.observable
         assert max(t for _, t in report.witnesses) == (1 << n) - 2
@@ -339,7 +368,7 @@ class TestRendering:
         for name in ("extended_system", "partition_pairs", "_distances"):
             monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
         rng = random.Random(11)
-        forms = [algebraic_form(parse_network(_counter_text(6)))]
+        forms = [algebraic_form(parse_network(counter_text(6)))]
         for _ in range(100):
             forms.append(algebraic_form(random_model(rng, rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 2))))
         checked = 0

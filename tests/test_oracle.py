@@ -8,6 +8,7 @@ from bcnkit.netlang import parse_network
 from bcnkit.observe import observability_verdict
 from bcnkit.oracle import (
     SizeLimitError,
+    distinguish_distances,
     distinguish_oracle,
     random_model,
     reach_oracle,
@@ -66,6 +67,15 @@ class TestDistinguishOracle:
     def test_lac_case1_all_distinguishable(self):
         flags = distinguish_oracle(load("lac_case1.bcn"))
         assert [f for _, f in flags] == [True] * 6
+
+    def test_distances(self):
+        assert distinguish_distances(load("lac_case2.bcn")) == (
+            ((1, 2), None), ((3, 4), 1), ((5, 6), None), ((7, 8), 1))
+        # The n-bit counter's longest shortest distinguishing sequence has 2^n - 2 steps.
+        from conftest import counter_text
+
+        distances = dict(distinguish_distances(parse_network(counter_text(4))))
+        assert len(distances) == 105 and max(distances.values()) == 14
 
     def test_injective_output_vacuous(self):
         model = parse_network("network a\nstates: x1\noutputs: y1\nx1' = x1\ny1 = x1\n")

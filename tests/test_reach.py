@@ -5,7 +5,7 @@ import pytest
 from bcnkit.boolmat import BooleanMatrix, LogicalMatrix
 from bcnkit.compiler import algebraic_form
 from bcnkit.netlang import parse_network
-from bcnkit.oracle import reach_oracle
+from bcnkit.oracle import random_model, reach_oracle
 from bcnkit.reach import (
     SetFamily,
     StateSet,
@@ -242,6 +242,23 @@ class TestOutputControllability:
         assert cy == BooleanMatrix.identity(2)
         assert not cy.is_all_ones()
 
+
+    def test_rows_by_output_value_match_dense_product(self):
+        # Row v of H C is built as the OR of C's rows over the states whose
+        # output is v; it must equal the dense product with H made Boolean,
+        # also with 20 outputs, where 2^20 - 2^10 rows of H C stay zero.
+        rng = random.Random(4242)
+        forms = [algebraic_form(random_model(rng, rng.randint(1, 4), rng.randint(0, 2), rng.randint(1, 4)))
+                 for _ in range(200)]
+        xs = [f"x{i}" for i in range(1, 11)]
+        ys = [f"y{k}" for k in range(1, 21)]
+        forms.append(algebraic_form(parse_network("\n".join([
+            "network ident", "states: " + ", ".join(xs), "outputs: " + ", ".join(ys),
+            *[f"{x}' = {x}" for x in xs], *[f"{y} = {xs[k % 10]}" for k, y in enumerate(ys)], "",
+        ]))))
+        for form in forms:
+            c = controllability_matrix(one_step_matrix(form))
+            assert output_controllability_matrix(c, form) == form.H.to_boolean().mul(c)
 
 class TestSetSpecFiles:
     def test_indices_and_bitstrings(self):
