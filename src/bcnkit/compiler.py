@@ -61,7 +61,9 @@ def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
     up so that every measurement is at most 96% of the estimate (24 more
     draws: 85-95%).  Long witnesses grow the text with their total
     length, 8^n on the n-bit counter: at n = 9 the verdict and its
-    rendering peaked at 186 MB against 278 MB."""
+    rendering peaked at 186 MB against 278 MB.  The search no longer
+    builds predecessor lists and keeps one pair map per distinct state
+    map, so this now overestimates; a refit needs per-stage counters."""
     return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
 
 

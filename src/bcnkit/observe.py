@@ -7,25 +7,25 @@ differing-output class Xi.  The network is observable exactly when from
 every Theta pair some control sequence reaches Xi; a shortest such
 sequence is a distinguishing witness.
 
-One multi-source breadth-first search backward from Xi over the pair
-graph gives every pair's distance to Xi at once, so all verdicts come
-from a single O(4^n * 2^m) pass.  Among the shortest sequences, the
-witness is the lexicographically smallest: at each step it takes the
-smallest control that brings the pair one step closer to Xi, read off
-the distances.  `_first_steps` is that one step rule: it tries each
-control once, in ascending order, over every pair still without a step.
-The verdict makes one such sweep over all distinguishable Theta
-representatives, and `distinguishing_witness` one per step of its pair.
 Swapping the two copies maps the pair graph onto itself, so (z, x) and
-(x, z) share their witness.  The report keeps one step per Theta
-representative (first control, T, the representative one step closer,
-found through a position list over both orientations): a tree rooted in
-Xi, whose texts, rendered in ascending T, share their suffixes.  The
-dense closure (`dense_verdict_row`) of the paired system stays as the
-paper's cross-check; it and `observability_setup` import `reach` when
-called, so the verdict path does not load it.  `check_size` refuses a
-pair space too large for memory before building it, and too many
-witness controls after the search.
+(x, z) share their distance and witness, and controls that share a state
+map are interchangeable.  `_search` is one multi-source breadth-first
+search backward from Xi over the z < x representatives, under the first
+control of each distinct map: the predecessors of (z', x') are
+pre_j(z') x pre_j(x'), read off the diagonal of control j's pair map.
+Each level tries the controls in ascending order, so a representative is
+first reached through the smallest control that brings it one step
+closer to Xi.  Taking that control at every step spells the
+lexicographically smallest shortest sequence, the witness.  The search
+records, per Theta representative, that control, the distance T and the
+representative one step closer: every verdict, and a tree rooted in Xi
+whose texts, rendered in ascending T, share their suffixes.
+`distinguishing_witness` walks its one pair by the same rule, looked up
+in the distances.  The dense closure (`dense_verdict_row`) of the paired
+system stays as the paper's cross-check; it and `observability_setup`
+import `reach` when called, so the verdict path does not load it.
+`check_size` refuses a pair space too large for memory before building
+it, and too many witness controls after the search.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ def partition_pairs(form: AlgebraicForm) -> PairPartition:
     nn = len(outputs)
     theta = []
     xi = []
-    for z, hz in enumerate(outputs, start=1):
+    states = list(zip(range(1, nn + 1), outputs))  # one int object per state, shared by its pairs
+    for z, hz in states:
         w = (z - 1) * nn  # pair_index(z, x, n) - x
-        for x, hx in enumerate(outputs, start=1):
+        for x, hx in states:
             if hz != hx:
                 xi.append(w + x)
             elif z < x:
@@ -95,20 +96,17 @@ PairMaps = tuple[tuple[int, ...], ...]
 
 def extended_system(form: AlgebraicForm) -> PairMaps:
     """Pair each control's successor slice of L with itself: control j
-    sends (z, x) to (L_j z, L_j x), enumerated directly.  Refuses a model
-    whose pair space would not fit in `compiler.MAX_BYTES`, before any of
-    it is built."""
+    sends (z, x) to (L_j z, L_j x), enumerated directly.  Controls with the
+    same state map share one pair map.  Refuses a model whose pair space
+    would not fit in `compiler.MAX_BYTES`, before any of it is built."""
     check_size(form.n, form.m, form.p, ("pairs",))
     nn = form.state_count
+    built: dict[tuple[int, ...], tuple[int, ...]] = {}
     maps = []
-    for j in range(1, form.control_count + 1):
-        succ = form.successors(j)
-        mp = []
-        for sz in succ:
-            base = (sz - 1) * nn
-            for sx in succ:
-                mp.append(base + sx)
-        maps.append(tuple(mp))
+    for succ in map(form.successors, range(1, form.control_count + 1)):
+        if succ not in built:
+            built[succ] = tuple([base + sx for base in [(sz - 1) * nn for sz in succ] for sx in succ])
+        maps.append(built[succ])
     return tuple(maps)
 
 
@@ -144,85 +142,71 @@ class ObservabilityReport(Record):
         return tuple(step and (tuple(controls(k)), step[1]) for k, step in enumerate(self.steps))
 
 
-def _distances(ext: PairMaps, xi: frozenset[int]) -> list[int]:
-    """dist[w-1] is the length of a shortest control sequence that drives
-    pair w into Xi (0 on Xi itself), or -1 when none does.  One
-    multi-source breadth-first search runs backward from all of Xi at
-    once over the predecessor lists of the pair graph."""
-    preds: list[list[int]] = [[] for _ in ext[0]]
-    for mp in ext:
-        for w, nxt in enumerate(mp):
-            preds[nxt - 1].append(w)
-    dist = [-1] * len(preds)
-    frontier = [w - 1 for w in xi]
-    for w in frontier:
-        dist[w] = 0
+def _search(ext: PairMaps, part: PairPartition, record: bool) -> tuple[list[int], list]:
+    """One breadth-first search backward from Xi over the z < x
+    representatives.  Returns dist, whose item z*2^n + x (0-based states,
+    z < x) is that pair's distance to Xi, -1 when Xi is out of reach, and
+    -1 on the diagonal; and, if `record`, per Theta representative its
+    step: (the smallest control that brings it one step closer, T, the
+    position in part.theta of the representative it moves to, -1 in Xi),
+    or None."""
+    nn = 1 << part.n
+    first: dict[tuple[int, ...], int] = {}
+    for j, mp in enumerate(ext, start=1):
+        first.setdefault(mp, j)  # dict.fromkeys(ext), with each map's first control
+    preimages = []
+    for mp, j in first.items():
+        pre: list[list[int]] = [[] for _ in range(nn)]
+        for a, w in enumerate(mp[::nn + 1]):  # w = pair_index(s, s), s = L_j a
+            pre[(w - 1) // (nn + 1)].append(a)
+        preimages.append((j, pre))
+    steps: list[tuple[int, int, int] | None] = []
+    if record:
+        steps = [None] * len(part.theta)
+        position = [-1] * (nn * nn)  # pair z*2^n + x, z < x, to its place in part.theta
+        for k, (z, x) in enumerate(part.theta):
+            position[(z - 1) * nn + x - 1] = k
+    dist = [-1] * (nn * nn)
+    frontier = [(v // nn, v % nn, v) for v in (w - 1 for w in part.xi) if v // nn < v % nn]
+    for _, _, v in frontier:
+        dist[v] = 0
     d = 0
     while frontier:
         d += 1
         reached = []
-        for v in frontier:
-            for w in preds[v]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    reached.append(w)
+        for j, pre in preimages:
+            for z, x, v in frontier:
+                for a in pre[z]:
+                    for b in pre[x]:
+                        w = a * nn + b if a < b else b * nn + a
+                        if dist[w] < 0:
+                            dist[w] = d
+                            reached.append((a, b, w))
+                            if record:
+                                steps[position[w]] = (j, d, position[v])
         frontier = reached
-    return dist
-
-
-def _first_steps(ext: PairMaps, dist: list[int], pairs: list[int]) -> list[tuple[int, int]]:
-    """For each 0-based pair w of pairs (each at a positive distance), the
-    smallest control j that moves w one step closer to Xi, and the 0-based
-    pair it moves to.  Each control is tried once, in ascending order,
-    over the pairs that have no step yet, so the smallest one that
-    qualifies wins.  Taking it at every step spells the lexicographically
-    smallest shortest sequence, the one a forward breadth-first search
-    trying controls in ascending order would find."""
-    steps: list = [None] * len(pairs)
-    todo = [(k, w, dist[w] - 1) for k, w in enumerate(pairs)]
-    for j, mp in enumerate(ext, start=1):
-        left = []
-        for item in todo:
-            k, w, d = item
-            nxt = mp[w] - 1
-            if dist[nxt] == d:
-                steps[k] = (j, nxt)
-            else:
-                left.append(item)
-        todo = left
-    return steps
+    return dist, steps
 
 
 def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> ObservabilityReport:
-    """Distances to Xi of every pair from one backward search; a Theta
-    representative is distinguishable exactly when its distance is
-    positive (Theta and Xi are disjoint, so T >= 1).  With witnesses, one
-    `_first_steps` sweep gives every distinguishable representative its
-    step, and a position list over both orientations of each
-    representative names the representative one step closer (-1 in Xi)."""
+    """A Theta representative is distinguishable exactly when the search
+    reaches it (Theta and Xi are disjoint, so T >= 1); with witnesses, the
+    report keeps the steps the search recorded."""
     if form.p == 0:
         raise ValueError("observability needs at least one output")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
-    dist = _distances(ext, part.xi)
+    dist, steps = _search(ext, part, want_witnesses)
     nn = form.state_count
-    reps = [(z - 1) * nn + x - 1 for z, x in part.theta]  # pair_index(z, x, n) - 1
-    ts = [dist[w] for w in reps]
-    flags = tuple(t > 0 for t in ts)
-    steps: list[tuple[int, int, int] | None] = [None] * len(reps)
+    ts = [dist[(z - 1) * nn + x - 1] for z, x in part.theta]
+    flags = tuple([t > 0 for t in ts])
     if want_witnesses:
-        live = [k for k, t in enumerate(ts) if t > 0]
-        check_size(form.n, form.m, form.p, ("pairs",), witness_steps=sum([ts[k] for k in live]))
-        position = [-1] * len(dist)
-        for k, (z, x) in enumerate(part.theta):
-            position[(z - 1) * nn + x - 1] = position[(x - 1) * nn + z - 1] = k
-        for k, (j, nxt) in zip(live, _first_steps(ext, dist, [reps[k] for k in live])):
-            steps[k] = (j, ts[k], position[nxt])
+        check_size(form.n, form.m, form.p, ("pairs",), witness_steps=sum([t for t in ts if t > 0]))
     return ObservabilityReport(
         observable=all(flags),
         theta=part.theta,
         flags=flags,
-        steps=tuple(steps),
+        steps=tuple(steps) if want_witnesses else (None,) * len(ts),
     )
 
 
@@ -230,18 +214,26 @@ def distinguishing_witness(
     form: AlgebraicForm, z0: int, x0: int
 ) -> tuple[tuple[int, ...], int] | None:
     """Lexicographically smallest shortest control sequence whose joint
-    trajectory from (z0, x0) lands in Xi, or None if unreachable.  A pair
-    already in Xi yields the empty sequence with T = 0."""
+    trajectory from (z0, x0) lands in Xi, or None if unreachable: each
+    step takes the smallest control whose successor pair is one step
+    closer, by the search's distances.  A pair already in Xi yields the
+    empty sequence with T = 0."""
     if z0 == x0:
         raise ValueError("witness requires two distinct initial states")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
-    dist = _distances(ext, partition_pairs(form).xi)
-    w = pair_index(z0, x0, form.n) - 1
-    if dist[w] < 0:
+    dist, _ = _search(ext, partition_pairs(form), False)
+    nn, out = form.state_count, form.H.col_index
+
+    def distance(v: int) -> int:  # v is a 0-based pair index
+        z, x = sorted(divmod(v, nn))
+        return 0 if out[z] != out[x] else dist[z * nn + x]
+
+    v = pair_index(z0, x0, form.n) - 1
+    if (t := distance(v)) < 0:
         return None
     controls = []
-    for _ in range(dist[w]):
-        [(j, w)] = _first_steps(ext, dist, [w])
+    for closer in range(t - 1, -1, -1):
+        j, v = next((j, mp[v] - 1) for j, mp in enumerate(ext, start=1) if distance(mp[v] - 1) == closer)
         controls.append(j)
     return tuple(controls), len(controls)
 

@@ -78,30 +78,34 @@ def distinguish_distances(model: NetworkModel) -> tuple[tuple[tuple[int, int], i
     of a shortest shared control sequence after which the two outputs
     differ, or None when none does: a breadth-first search over joint
     states from (z, x), which stops at the first joint state with
-    differing outputs, so that state is one of the nearest."""
+    differing outputs, so that state is one of the nearest.  Every
+    transition is simulated once, into a table that all the searches
+    read."""
     check_size(model.n, model.m, model.p, ("distinguish_oracle",))
     if model.p == 0:
         raise ValueError("model has no outputs")
     nn = 1 << model.n
-    controls = range(1, (1 << model.m) + 1)
-    out = [_output(model, a) for a in range(1, nn + 1)]
+    states = range(1, nn + 1)
+    # Indexed by 1-based state; item 0 pads.
+    table = [[0, *(_step(model, a, j) for a in states)] for j in range(1, (1 << model.m) + 1)]
+    out = [None, *(_output(model, a) for a in states)]
 
     results = []
-    for z in range(1, nn + 1):
+    for z in states:
         for x in range(z + 1, nn + 1):
-            if out[z - 1] != out[x - 1]:
+            if out[z] != out[x]:
                 continue
             dist = None
             seen = {(z, x)}
             queue = deque((((z, x), 0),))
             while queue and dist is None:
                 (a, b), d = queue.popleft()
-                for j in controls:
-                    nxt = (_step(model, a, j), _step(model, b, j))
+                for succ in table:
+                    nxt = (succ[a], succ[b])
                     if nxt in seen:
                         continue
                     seen.add(nxt)
-                    if out[nxt[0] - 1] != out[nxt[1] - 1]:
+                    if out[nxt[0]] != out[nxt[1]]:
                         dist = d + 1
                         break
                     queue.append((nxt, d + 1))

@@ -9,7 +9,7 @@ from bcnkit import compiler, observe
 from bcnkit.boolmat import BooleanMatrix
 from bcnkit.cli import main
 from bcnkit.compiler import AlgebraicForm, SizeLimitError, algebraic_form
-from bcnkit.netlang import parse_network
+from bcnkit.netlang import NetworkModel, parse_network
 from bcnkit.observe import (
     dense_verdict_row,
     distinguishing_witness,
@@ -252,7 +252,7 @@ class TestWitness:
         # The pair maps, partition and distances depend only on the form, so
         # they are computed once per form here and each call costs only its
         # walk (about 1 s in all, 40 s without).
-        for name in ("extended_system", "partition_pairs", "_distances"):
+        for name in ("extended_system", "partition_pairs", "_search"):
             monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
         rng = random.Random(8)
         forms = [algebraic_form(parse_network(counter_text(6)))]
@@ -273,20 +273,37 @@ def _lands_in_xi(form, z, x, controls):
     return form.H.column(z) != form.H.column(x)
 
 
+def _with_idle_input(rng, model):
+    """The model with one more input, which no update rule reads, at a
+    random place among the inputs: every state map then belongs to two
+    controls or more."""
+    at = rng.randint(0, model.m)
+    return NetworkModel(model.name, model.states, model.inputs[:at] + ("idle",) + model.inputs[at:],
+                        model.outputs, model.updates, model.output_maps)
+
+
 class TestWitnessChoice:
     def test_lexicographically_first_shortest(self):
         # Among all shortest sequences the witness is the first in
-        # lexicographic order; `ties` makes sure the draws include pairs
-        # where another sequence of the same length also separates them.
+        # lexicographic order, both from distinguishing_witness and from the
+        # verdict's steps; `ties` makes sure the draws include pairs where
+        # another sequence of the same length also separates them.  Draws
+        # with an input that no rule reads make every control share its
+        # state map with another: a witness then uses only the first control
+        # of each group (`shared` counts pairs that need a control).
         rng = random.Random(2718)
-        checked = ties = 0
-        for _ in range(200):
-            n, m, p = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2)
-            form = algebraic_form(random_model(rng, n, m, p))
+        draws = [random_model(rng, rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2)) for _ in range(200)]
+        draws += [_with_idle_input(rng, random_model(rng, rng.randint(1, 3), rng.randint(0, 1), rng.randint(1, 2)))
+                  for _ in range(100)]
+        checked = ties = shared = 0
+        for model in draws:
+            form = algebraic_form(model)
             controls = range(1, form.control_count + 1)
-            for z, x in partition_pairs(form).theta:
+            report = observability_verdict(form, want_witnesses=True)
+            for (z, x), verdict_wit in zip(report.theta, report.witnesses):
                 wit = distinguishing_witness(form, z, x)
                 if wit is None or wit[1] > 6:
+                    assert verdict_wit == wit, (z, x)
                     continue
                 landing = (
                     seq
@@ -295,22 +312,26 @@ class TestWitnessChoice:
                     if _lands_in_xi(form, z, x, seq)
                 )
                 first = next(landing)
-                assert wit == (first, len(first)), (n, m, p, z, x)
+                assert verdict_wit == wit == (first, len(first)), (z, x)
                 checked += 1
                 ties += next(landing, None) is not None
-        assert checked > 100 and ties > 20
+                shared += "idle" in model.inputs and wit[1] > 0
+        assert checked > 100 and ties > 20 and shared > 100
 
     def test_steps_follow_oracle_distances(self):
-        # The verdict and distinguishing_witness share one step rule, so it
-        # is checked against distances from the brute-force oracle: each
-        # representative's step takes the smallest control whose successor
-        # pair is one step closer to Xi and points at that pair's
-        # representative, or at -1 once in Xi.  `ties` makes sure the draws
-        # include pairs where a larger control also qualifies.
+        # The verdict's steps are checked against distances from the
+        # brute-force oracle: each representative's step takes the smallest
+        # control whose successor pair is one step closer to Xi and points
+        # at that pair's representative, or at -1 once in Xi.  `ties` makes
+        # sure the draws include pairs where a larger control also
+        # qualifies.  Besides small random models, the draws hold the 4- to
+        # 7-bit counters and random models with n = 5-6.
         rng = random.Random(1729)
-        models = [parse_network(counter_text(4))]
+        models = [parse_network(counter_text(n)) for n in (4, 5, 6, 7)]
         for _ in range(150):
             models.append(random_model(rng, rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 2)))
+        for _ in range(20):
+            models.append(random_model(rng, rng.randint(5, 6), rng.randint(0, 3), rng.randint(1, 2)))
         checked = ties = 0
         for model in models:
             form = algebraic_form(model)
@@ -322,18 +343,19 @@ class TestWitnessChoice:
                 return 0 if out[a - 1] != out[b - 1] else ref.get((min(a, b), max(a, b)))
 
             report = observability_verdict(form, want_witnesses=True)
+            position = {pair: k for k, pair in enumerate(report.theta)}
+            maps = [form.successors(j) for j in range(1, form.control_count + 1)]
             for (z, x), step in zip(report.theta, report.steps):
                 t = ref[(z, x)]
                 if t is None:
                     assert step is None, (z, x)
                     continue
-                successors = [(succ[z - 1], succ[x - 1])
-                              for succ in map(form.successors, range(1, form.control_count + 1))]
+                successors = [(succ[z - 1], succ[x - 1]) for succ in maps]
                 closer = [j for j, pair in enumerate(successors, start=1) if distance(*pair) == t - 1]
-                j, steps_t, position = step
+                j, steps_t, nxt = step
                 assert (j, steps_t) == (closer[0], t), (z, x)
                 a, b = successors[j - 1]
-                assert position == (-1 if t == 1 else report.theta.index((min(a, b), max(a, b)))), (z, x)
+                assert nxt == (-1 if t == 1 else position[(min(a, b), max(a, b))]), (z, x)
                 checked += 1
                 ties += len(closer) > 1
         assert checked > 1000 and ties > 20
@@ -365,7 +387,7 @@ class TestRendering:
         # render_report writes each witness from the report's steps, never
         # from the (controls, T) tuples: every Theta line must carry the
         # text of the witness distinguishing_witness walks for its pair.
-        for name in ("extended_system", "partition_pairs", "_distances"):
+        for name in ("extended_system", "partition_pairs", "_search"):
             monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
         rng = random.Random(11)
         forms = [algebraic_form(parse_network(counter_text(6)))]
