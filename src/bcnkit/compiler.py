@@ -73,7 +73,8 @@ def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,
     order, too large for n states, m inputs and p outputs: "compile"
     (n + m <= max_vars), "outputs" (p <= 20), "closure" (printing too with
     "emit"), "pairs", "reach_oracle" (n + m <= 12), "distinguish_oracle"
-    (2n <= 20), "dense_row" (2n <= 12).  Only `witness_steps` needs work."""
+    (3n + m <= 27, fitted to its 2^(3n+m) steps on the n-bit counter),
+    "dense_row" (2n <= 12).  Only `witness_steps` needs work."""
     if "compile" in stages and n + m > max_vars:
         text = f"model has {n + m} state+input variables; flat compilation is limited to {max_vars}"
     elif "outputs" in stages and p > MAX_FLAT_VARS:
@@ -86,8 +87,8 @@ def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,
         text = f"pair space of 2^{2 * n} pairs under 2^{m} controls {_needs(need)}"
     elif "reach_oracle" in stages and n + m > 12:
         text = "reach oracle is limited to n+m <= 12"
-    elif "distinguish_oracle" in stages and 2 * n > 20:
-        text = "distinguishability oracle is limited to 2n <= 20"
+    elif "distinguish_oracle" in stages and 3 * n + m > 27:
+        text = "distinguishability oracle is limited to 3n+m <= 27"
     elif "dense_row" in stages and 2 * n > 12:
         text = "dense pair-space closure is limited to 2n <= 12"
     else:

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from pathlib import Path
@@ -22,6 +21,27 @@ from bcnkit.observe import (
 )
 from bcnkit.oracle import distinguish_distances, random_model
 from conftest import counter_text
+
+
+def _memoise_per_form(monkeypatch):
+    """Compute the pair maps, the partition and the search once per form
+    object: each memo is keyed by the identity of the arguments, so a call
+    hashes none of the 4^n-long tuples, and it keeps the arguments alive,
+    so no identity is reused."""
+    for name in ("extended_system", "partition_pairs", "_search"):
+        monkeypatch.setattr(observe, name, _by_identity(getattr(observe, name)))
+
+
+def _by_identity(fn):
+    memo = {}
+
+    def memoised(*args):
+        key = tuple(map(id, args))
+        if key not in memo:
+            memo[key] = args, fn(*args)
+        return memo[key][1]
+
+    return memoised
 
 
 class TestPairIndex:
@@ -251,9 +271,8 @@ class TestWitness:
         # distinguishing_witness walks its one pair, in either orientation.
         # The pair maps, partition and distances depend only on the form, so
         # they are computed once per form here and each call costs only its
-        # walk (about 1 s in all, 40 s without).
-        for name in ("extended_system", "partition_pairs", "_search"):
-            monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
+        # walk (about 0.5 s in all, 40 s without).
+        _memoise_per_form(monkeypatch)
         rng = random.Random(8)
         forms = [algebraic_form(parse_network(counter_text(6)))]
         for _ in range(200):
@@ -387,8 +406,7 @@ class TestRendering:
         # render_report writes each witness from the report's steps, never
         # from the (controls, T) tuples: every Theta line must carry the
         # text of the witness distinguishing_witness walks for its pair.
-        for name in ("extended_system", "partition_pairs", "_search"):
-            monkeypatch.setattr(observe, name, functools.cache(getattr(observe, name)))
+        _memoise_per_form(monkeypatch)
         rng = random.Random(11)
         forms = [algebraic_form(parse_network(counter_text(6)))]
         for _ in range(100):
