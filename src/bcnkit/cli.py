@@ -1,13 +1,12 @@
 """Command-line front end.
 
 `bcn COMMAND MODEL [options]` is read from one table, `COMMANDS`, by a
-small scanner instead of argparse, whose import and parser building cost
-every run several milliseconds.  It reads argv as the argparse parser of
-earlier versions did: options before or after MODEL, `--opt value` and
+small scanner (argparse costs every run milliseconds) that reads argv as
+argparse would: options before or after MODEL, `--opt value` and
 `--opt=value`, unique prefixes of long options, the last of repeated
 options, `--` ending the options and -h/--help anywhere.  --help prints to
 stdout and exits 0; a usage error prints the usage line and an `error:`
-line to stderr and exits 2.
+line, which quotes at most 24 characters of a word, to stderr and exits 2.
 
 Exit codes: 0 when the queried property holds, 1 when it does not,
 2 on usage, parse or size errors, oracle disagreement and internal faults.
@@ -175,6 +174,11 @@ def _usage(command: str | None) -> str:
     return f"usage: bcn {command or '{' + ','.join(COMMANDS) + '}'} MODEL [options]"
 
 
+def _cut(word: str) -> str:
+    """A word as an error line quotes it: cut to 24 characters, so that every line stays under 120."""
+    return word if len(word) <= 24 else word[:21] + "..."
+
+
 def _help(command: str | None) -> None:
     if command is None:
         about = ("Boolean control network analysis (controllability, set controllability, "
@@ -200,7 +204,7 @@ def _option(word: str, command: str | None) -> tuple[str, str | None] | None:
     if word[1] == "-":
         hits = [name for name in names if name.startswith(head)]
         if len(hits) > 1:
-            raise UsageError(command, f"ambiguous option: {word} could match {', '.join(hits)}")
+            raise UsageError(command, f"ambiguous option: {_cut(word)} could match {', '.join(hits)}")
         if hits:
             return hits[0], tail if eq else None
     elif word[1] == "h":
@@ -215,16 +219,16 @@ def _checked(command: str | None, option: str, value: str | None):
     problem = None
     if OPTIONS.get(option, (None,))[0] is None:
         if value is not None and not (option == "-h" and value and not value.strip("h")):
-            problem = f"ignored explicit argument {value!r}"
+            problem = f"ignored explicit argument {_cut(repr(value))}"
         value = True
     elif option == "--emit" and value != "algebraic":
-        problem = f"invalid choice: {value!r} (choose from 'algebraic')"
+        problem = f"invalid choice: {_cut(repr(value))} (choose from 'algebraic')"
     elif option == "--max-size":
         try:
             value = int(value)
         except ValueError:
-            raise UsageError(command, f"argument {option}: invalid int value: {value!r}") from None
-        problem = None if value > 0 else f"must be positive, got {value}"
+            raise UsageError(command, f"argument {option}: invalid int value: {_cut(repr(value))}") from None
+        problem = None if value > 0 else f"must be positive, got {_cut(str(value))}"
     if problem:
         raise UsageError(command, f"argument {option}: {problem}")
     return value
@@ -239,7 +243,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             return _help(None)
         k += 1
     if k == len(argv) or argv[k] not in COMMANDS:
-        raise UsageError(None, f"invalid command: {argv[k]!r}" if argv[k:] else "a command is required")
+        raise UsageError(None, f"invalid command: {_cut(repr(argv[k]))}" if argv[k:] else "a command is required")
     unknown, command, rest = argv[:k], argv[k], argv[k + 1:]
     cut = rest.index("--") if "--" in rest else len(rest)
     words = [(word, _option(word, command)) for word in rest[:cut]]  # an ambiguous prefix fails first
@@ -270,7 +274,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         if gap:
             raise UsageError(command, f"the following arguments are required: {name}")
     if unknown or positionals[1:]:
-        raise UsageError(command, f"unrecognized arguments: {' '.join(unknown + positionals[1:])}")
+        raise UsageError(command, f"unrecognized arguments: {_cut(' '.join(unknown + positionals[1:]))}")
     args.model = positionals[0]
     return args
 

@@ -50,20 +50,15 @@ def closure_bytes(n: int, outputs: int = 0, emit: bool = False) -> int:
 
 
 def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
-    """Estimated peak memory of `observe.observability_verdict`:
-    4^n * (80 * 2^m + 220) bytes for the per-control maps, predecessor
-    lists, distances and pair sets, plus 8 bytes per witness control,
-    which bounds the rendered text (about 2 bytes per control each in the
-    witness texts, their lines and the joined report).  Fitted to
-    tracemalloc peaks on 24 seeded random models, n = 7-9, m = 0-3
-    (p = 1-2, short witnesses), where the search peaks before any witness
-    is built: least squares gives 74 * 2^m + 201 bytes per pair, rounded
-    up so that every measurement is at most 96% of the estimate (24 more
-    draws: 85-95%).  Long witnesses grow the text with their total
-    length, 8^n on the n-bit counter: at n = 9 the verdict and its
-    rendering peaked at 186 MB against 278 MB.  The search no longer
-    builds predecessor lists and keeps one pair map per distinct state
-    map, so this now overestimates; a refit needs per-stage counters."""
+    """Estimated peak memory of `observe.observability_verdict` and
+    `render_report`: 4^n * (80 * 2^m + 220) bytes for the pair maps,
+    distances and pair sets, plus 8 bytes per witness control for the
+    witness texts, their lines and the joined report.  Fitted to
+    tracemalloc peaks on 24 seeded random models, n = 7-9, m = 0-3, p = 1-2,
+    by least squares (74 * 2^m + 201 bytes per pair), rounded up so that
+    every measurement was at most 96% of the estimate.  Long witnesses
+    grow the text with their total length, 8^n on the n-bit counter: at
+    n = 9 the two peak at 130 MB against 278 MB."""
     return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
 
 

@@ -1,31 +1,15 @@
 """Observability decided through pair-space reachability.
 
 Two copies of the network are driven by one shared control sequence; the
-joint state (z, x) is a single index in 1..2^(2n).  Pairs split into the
-diagonal D, the same-output off-diagonal class Theta, and the
-differing-output class Xi.  The network is observable exactly when from
-every Theta pair some control sequence reaches Xi; a shortest such
-sequence is a distinguishing witness.
-
-Swapping the two copies maps the pair graph onto itself, so (z, x) and
-(x, z) share their distance and witness, and controls that share a state
-map are interchangeable.  `_search` is one multi-source breadth-first
-search backward from Xi over the z < x representatives, under the first
-control of each distinct map: the predecessors of (z', x') are
-pre_j(z') x pre_j(x'), read off the diagonal of control j's pair map.
-Each level tries the controls in ascending order, so a representative is
-first reached through the smallest control that brings it one step
-closer to Xi.  Taking that control at every step spells the
-lexicographically smallest shortest sequence, the witness.  The search
-records, per Theta representative, that control, the distance T and the
-representative one step closer: every verdict, and a tree rooted in Xi
-whose texts, rendered in ascending T, share their suffixes.
-`distinguishing_witness` walks its one pair by the same rule, looked up
-in the distances.  The dense closure (`dense_verdict_row`) of the paired
-system stays as the paper's cross-check; it and `observability_setup`
-import `reach` when called, so the verdict path does not load it.
-`check_size` refuses a pair space too large for memory before building
-it, and too many witness controls after the search.
+joint state (z, x) is one index in 1..2^(2n).  Pairs split into the
+diagonal D, the same-output class Theta and the differing-output class Xi.
+The network is observable exactly when from every Theta pair some control
+sequence reaches Xi; a shortest such sequence is a distinguishing witness.
+`_search` finds every distance, and with witnesses every witness step, in
+one breadth-first search backward from Xi, kept in flat per-pair arrays
+from which `render_report` writes the witnesses.  `dense_verdict_row` is
+the paper's dense cross-check.  `check_size` refuses a pair space too
+large for memory before building it, and too many witness controls after.
 """
 
 from __future__ import annotations
@@ -44,13 +28,9 @@ def pair_index(z: int, x: int, n: int) -> int:
 
 class PairPartition(Record):
     """Theta / Xi split of the 2^(2n) joint indices; the diagonal D is the
-    rest.
-
-    theta holds only the z < x representatives, in ascending pair-index
-    order; xi holds both orientations.  The verdict reads only these two,
-    so `diagonal` and `theta_ordered` (both orientations) are built on
-    demand.
-    """
+    rest.  theta holds only the z < x representatives, in ascending
+    pair-index order; xi holds both orientations.  The verdict reads only
+    these two, so `diagonal` and `theta_ordered` are built on demand."""
 
     __slots__ = ("n", "theta", "xi")
     n: int
@@ -117,39 +97,56 @@ def observability_setup(part: PairPartition) -> tuple[SetFamily, SetFamily]:
     from .reach import SetFamily, StateSet
 
     universe = 1 << (2 * part.n)
-    p0 = SetFamily(
-        universe,
-        tuple(StateSet(universe, (w,)) for w in part.theta_indices),
-    )
+    p0 = SetFamily(universe, tuple(StateSet(universe, (w,)) for w in part.theta_indices))
     pd = SetFamily(universe, (StateSet(universe, tuple(sorted(part.xi))),))
     return p0, pd
 
 
 class ObservabilityReport(Record):
-    __slots__ = ("observable", "theta", "flags", "steps")
+    """With witnesses, `_search`'s arrays (else empty); `steps` and `witnesses` derive from them."""
+
+    __slots__ = ("observable", "theta", "flags", "n", "m", "dist", "via", "toward", "order")
     observable: bool
     theta: tuple[tuple[int, int], ...]
     flags: tuple[bool, ...]  # distinguishable, per theta representative
-    steps: tuple[tuple[int, int, int] | None, ...]  # (first control, T, next position, -1 in Xi)
+    n: int
+    m: int
+    dist: tuple[int, ...]
+    via: tuple[int, ...]
+    toward: tuple[int, ...]
+    order: tuple[int, ...]
+
+    @property
+    def steps(self) -> tuple[tuple[int, int, int] | None, ...]:
+        """(first control, T, position in theta of the pair one step on, -1 in Xi) or None."""
+        nn, dist = 1 << self.n, self.dist
+        pairs = [(z - 1) * nn + x - 1 for z, x in self.theta]
+        position = dict(zip(pairs, range(len(pairs))))
+        return tuple((self.via[w], dist[w], position.get(self.toward[w], -1)) if self.order and dist[w] > 0
+                     else None for w in pairs)
 
     @property
     def witnesses(self) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
         """(controls, T) per representative, walked along the steps."""
+        steps = self.steps
+
         def controls(k):
             while k >= 0:
-                j, _, k = self.steps[k]
+                j, _, k = steps[k]
                 yield j
-        return tuple(step and (tuple(controls(k)), step[1]) for k, step in enumerate(self.steps))
+        return tuple(step and (tuple(controls(k)), step[1]) for k, step in enumerate(steps))
 
 
-def _search(ext: PairMaps, part: PairPartition, record: bool) -> tuple[list[int], list]:
-    """One breadth-first search backward from Xi over the z < x
-    representatives.  Returns dist, whose item z*2^n + x (0-based states,
-    z < x) is that pair's distance to Xi, -1 when Xi is out of reach, and
-    -1 on the diagonal; and, if `record`, per Theta representative its
-    step: (the smallest control that brings it one step closer, T, the
-    position in part.theta of the representative it moves to, -1 in Xi),
-    or None."""
+def _search(ext: PairMaps, part: PairPartition, record: bool):
+    """One breadth-first search backward from Xi over the z < x pairs (the
+    copies' swap maps the pair graph onto itself), under the first control
+    of each distinct state map, tried in ascending order: a pair is first
+    reached through the smallest control that brings it one step closer,
+    the step of the lexicographically smallest shortest witness.  Returns
+    dist, item z*2^n + x (0-based, z < x) the pair's distance to Xi, else
+    -1; then, if `record` (else None), per reached pair w that control
+    via[w] and the pair toward[w] it leads to, and the reached pairs in
+    ascending T."""
     nn = 1 << part.n
     first: dict[tuple[int, ...], int] = {}
     for j, mp in enumerate(ext, start=1):
@@ -160,12 +157,7 @@ def _search(ext: PairMaps, part: PairPartition, record: bool) -> tuple[list[int]
         for a, w in enumerate(mp[::nn + 1]):  # w = pair_index(s, s), s = L_j a
             pre[(w - 1) // (nn + 1)].append(a)
         preimages.append((j, pre))
-    steps: list[tuple[int, int, int] | None] = []
-    if record:
-        steps = [None] * len(part.theta)
-        position = [-1] * (nn * nn)  # pair z*2^n + x, z < x, to its place in part.theta
-        for k, (z, x) in enumerate(part.theta):
-            position[(z - 1) * nn + x - 1] = k
+    via, toward, order = ([0] * (nn * nn), [0] * (nn * nn), []) if record else (None, None, None)
     dist = [-1] * (nn * nn)
     frontier = [(v // nn, v % nn, v) for v in (w - 1 for w in part.xi) if v // nn < v % nn]
     for _, _, v in frontier:
@@ -183,36 +175,33 @@ def _search(ext: PairMaps, part: PairPartition, record: bool) -> tuple[list[int]
                             dist[w] = d
                             reached.append((a, b, w))
                             if record:
-                                steps[position[w]] = (j, d, position[v])
+                                via[w] = j
+                                toward[w] = v
+        if record:
+            order += [w for _, _, w in reached]
         frontier = reached
-    return dist, steps
+    return dist, via, toward, order
 
 
 def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> ObservabilityReport:
     """A Theta representative is distinguishable exactly when the search
     reaches it (Theta and Xi are disjoint, so T >= 1); with witnesses, the
-    report keeps the steps the search recorded."""
+    report keeps the arrays the search recorded."""
     if form.p == 0:
         raise ValueError("observability needs at least one output")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
-    dist, steps = _search(ext, part, want_witnesses)
+    dist, via, toward, order = _search(ext, part, want_witnesses)
     nn = form.state_count
     ts = [dist[(z - 1) * nn + x - 1] for z, x in part.theta]
     flags = tuple([t > 0 for t in ts])
     if want_witnesses:
         check_size(form.n, form.m, form.p, ("pairs",), witness_steps=sum([t for t in ts if t > 0]))
-    return ObservabilityReport(
-        observable=all(flags),
-        theta=part.theta,
-        flags=flags,
-        steps=tuple(steps) if want_witnesses else (None,) * len(ts),
-    )
+    arrays = map(tuple, (dist, via, toward, order)) if want_witnesses else ((),) * 4
+    return ObservabilityReport(all(flags), part.theta, flags, form.n, form.m, *arrays)
 
 
-def distinguishing_witness(
-    form: AlgebraicForm, z0: int, x0: int
-) -> tuple[tuple[int, ...], int] | None:
+def distinguishing_witness(form: AlgebraicForm, z0: int, x0: int) -> tuple[tuple[int, ...], int] | None:
     """Lexicographically smallest shortest control sequence whose joint
     trajectory from (z0, x0) lands in Xi, or None if unreachable: each
     step takes the smallest control whose successor pair is one step
@@ -221,7 +210,7 @@ def distinguishing_witness(
     if z0 == x0:
         raise ValueError("witness requires two distinct initial states")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
-    dist, _ = _search(ext, partition_pairs(form), False)
+    dist = _search(ext, partition_pairs(form), False)[0]
     nn, out = form.state_count, form.H.col_index
 
     def distance(v: int) -> int:  # v is a 0-based pair index
@@ -252,18 +241,30 @@ def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
 
 
 def render_report(report: ObservabilityReport, cs_row: BooleanMatrix | None = None) -> str:
-    """One line per Theta representative, then the global verdict.  Built in ascending T,
-    a witness text is its first control, then the text of the representative one step on.
-    Each line then replaces its witness text in the same list, so the texts and the
-    lines are never all held at once."""
-    steps = report.steps
-    lines = [""] * len(steps)
-    for k in sorted((k for k, step in enumerate(steps) if step), key=lambda k: steps[k][1]):
-        j, _, nxt = steps[k]
-        lines[k] = f"{j},{lines[nxt]}" if nxt >= 0 else str(j)
-    for k, ((z, x), flag, step) in enumerate(zip(report.theta, report.flags, steps)):
-        lines[k] = (f"{{{z},{x}}} -> distinguishable [witness: u=({lines[k]}),T={step[1]}]" if step
-                    else f"{{{z},{x}}} -> {'distinguishable' if flag else 'indistinguishable'}")
+    """One line per Theta representative, then the global verdict.  Witness
+    texts are built in the search's order, ascending T, each as its control
+    and the text of the pair one step on, every int through one str table;
+    each line then releases its text, so the two are never all held."""
+    theta, dist, via, toward, order = report.theta, report.dist, report.via, report.toward, report.order
+    if not order:
+        lines = [f"{{{z},{x}}} -> {'distinguishable' if flag else 'indistinguishable'}"
+                 for (z, x), flag in zip(theta, report.flags)]
+    else:
+        nn = 1 << report.n
+        names = [str(i) for i in range(max(nn, 1 << report.m, dist[order[-1]]) + 1)]
+        text = [""] * (nn * nn)  # "" in Xi and for pairs the search did not reach
+        for w in order:
+            t = text[toward[w]]
+            text[w] = f"{names[via[w]]},{t}" if t else names[via[w]]
+        lines = [""] * len(theta)
+        for k, (z, x) in enumerate(theta):
+            w = (z - 1) * nn + x - 1
+            if t := text[w]:
+                lines[k] = f"{{{names[z]},{names[x]}}} -> distinguishable [witness: u=({t}),T={names[dist[w]]}]"
+                text[w] = ""
+            else:
+                lines[k] = f"{{{names[z]},{names[x]}}} -> indistinguishable"
+        del text  # its 4^n slots, before the join
     lines.append("verdict: " + ("observable" if report.observable else "not observable"))
     if cs_row is not None:
         lines.append(cs_row.to_text())

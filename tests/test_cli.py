@@ -199,7 +199,7 @@ OBSERVABILITY_FLAGS = {
 }
 
 #: sha256 of "<exit code>\n<stdout>" of `bcn observability` for each model
-#: (the 3- to 6-bit counters and the shipped models) and each flag set, in
+#: (the 3- to 7-bit counters and the shipped models) and each flag set, in
 #: the order of OBSERVABILITY_FLAGS.  An engine change that moves one byte
 #: of a verdict, witness or C_S row fails here.
 OBSERVABILITY_DIGESTS = {
@@ -226,6 +226,12 @@ OBSERVABILITY_DIGESTS = {
         "26c2f50a1589b5416de33d477f8009b9157f88ba5fcf7e15b5eba43d22635ed3",
         "44e13c459c71d21f0e7791bc31b198b0d2fc0ec97715a6ba0138d0056bc08c4d",
         "5d6f8546e4f3e18db80c1c77dc1247ce30a736667540ea82c8f5bc81a62f083f",
+    ),
+    "counter7": (  # the benchmark's own observe jobs
+        "d914c3eab5c57dfe743846653d9faf9674aaa9bdc114c4dd93931fda70ad69b1",
+        "4e2e041a1334105ce1ad59e1da866a4a80bed5ae195d5a6f697b8e0d02124446",
+        "bafdcdd0be1c920b40f6acc11160dc25b7a558cf1905b114b18ada6fe669def8",
+        "4513ae055e8030e47e84cc3ea636bc6008829134ff5ac6a43ffd06e6c6dcf52a",
     ),
     "lac_case1": (
         "b0415be8c91c35afbf30f6e954528e5189384ec2cc0b5ea614bd72116aae11c8",
@@ -294,6 +300,19 @@ REJECTED = {
     "error before -h": ["controllability", TOY, "--max-size", "abc", "-h"],
 }
 
+#: Usage errors that quote a 300-character word: the word is cut, so
+#: every line on stderr stays under 120 characters.
+LONG = "x" * 300
+LONG_WORDS = {
+    "unknown option": ["observability", TOY, "--" + LONG],
+    "unknown command": [LONG, TOY],
+    "ambiguous prefix": ["observability", TOY, "--=" + LONG],
+    "--max-size not an int": ["controllability", TOY, "--max-size", LONG],
+    "--max-size not positive": ["controllability", TOY, "--max-size", "-" + "9" * 300],
+    "--emit bad value": ["compile", TOY, "--emit", LONG],
+    "value on a flag": ["observability", TOY, "--witness=" + LONG],
+}
+
 #: Other spellings of a command line: each must give the same exit code
 #: and stdout as the canonical spelling it is paired with.
 ACCEPTED = {
@@ -359,6 +378,13 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: bcn") and [line for line in err.splitlines() if "error:" in line], err
+
+    @pytest.mark.parametrize("argv", LONG_WORDS.values(), ids=LONG_WORDS)
+    def test_long_word_is_cut(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert max(map(len, err.splitlines())) < 120, err
+        assert [line for line in err.splitlines() if line.startswith("error:") and "..." in line], err
 
     @pytest.mark.parametrize("argv, canonical", ACCEPTED.values(), ids=ACCEPTED)
     def test_same_meaning_as_canonical_spelling(self, capsys, argv, canonical):

@@ -166,6 +166,28 @@ class TestSizeGuard:
             observability_verdict(form, want_witnesses=True)
 
 
+    def test_estimate_bounds_traced_peak(self):
+        # The traced peak of the verdict with witnesses and its rendering
+        # stays within pair_space_bytes, witness controls included.  The
+        # draws start at n = 2: the estimate has no constant term, and at
+        # n = 1 (4 pairs) fixed allocations of about 1.5 KB exceed it.
+        import tracemalloc
+
+        rng = random.Random(2040)
+        models = [parse_network(counter_text(n)) for n in (5, 6, 7)]
+        models += [random_model(rng, rng.randint(2, 6), rng.randint(0, 3), rng.randint(1, 2)) for _ in range(20)]
+        for model in models:
+            form = algebraic_form(model)
+            tracemalloc.start()
+            try:
+                report = observability_verdict(form, want_witnesses=True)
+                render_report(report)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            steps = sum(wit[1] for wit in report.witnesses if wit)
+            assert peak <= compiler.pair_space_bytes(form.n, form.m, steps), (model.name, form.n, form.m)
+
 class TestSetup:
     def test_case1_initial_family(self, lac_case1_form):
         part = partition_pairs(lac_case1_form)
