@@ -53,13 +53,15 @@ def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
     """Estimated peak memory of `observe.observability_verdict` and
     `render_report`: 4^n * (80 * 2^m + 220) bytes for the pair maps,
     distances and pair sets, plus 8 bytes per witness control for the
-    witness texts, their lines and the joined report.  Fitted to
-    tracemalloc peaks on 24 seeded random models, n = 7-9, m = 0-3, p = 1-2,
-    by least squares (74 * 2^m + 201 bytes per pair), rounded up so that
-    every measurement was at most 96% of the estimate.  Long witnesses
-    grow the text with their total length, 8^n on the n-bit counter: at
-    n = 9 the two peak at 130 MB against 278 MB."""
-    return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps
+    witness texts, their lines and the joined report, plus 512 bytes of
+    fixed allocations.  Fitted to tracemalloc peaks on 24 seeded random
+    models, n = 7-9, m = 0-3, p = 1-2, by least squares (74 * 2^m + 201
+    bytes per pair), rounded up so that every measurement was at most 96%
+    of the estimate.  Long witnesses grow the text with their total
+    length, 8^n on the n-bit counter: at n = 9 the two peak at 130 MB
+    against 278 MB.  At n = 1 the peak is 1.5-1.6 KB, up to 368 bytes past
+    the other terms on 300 seeded random models with m = 0-3, p = 1-2."""
+    return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps + 512
 
 
 def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,

@@ -5,11 +5,12 @@ joint state (z, x) is one index in 1..2^(2n).  Pairs split into the
 diagonal D, the same-output class Theta and the differing-output class Xi.
 The network is observable exactly when from every Theta pair some control
 sequence reaches Xi; a shortest such sequence is a distinguishing witness.
-`_search` finds every distance, and with witnesses every witness step, in
-one breadth-first search backward from Xi, kept in flat per-pair arrays
-from which `render_report` writes the witnesses.  `dense_verdict_row` is
-the paper's dense cross-check.  `check_size` refuses a pair space too
-large for memory before building it, and too many witness controls after.
+`_search` finds every distance and every witness step in one
+breadth-first search backward from Xi, kept in flat per-pair arrays:
+`_walk` follows them from one pair, and `render_report` writes every
+witness from them.  `dense_verdict_row` is the paper's dense
+cross-check.  `check_size` refuses a pair space too large for memory
+before building it, and too many witness controls after.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def observability_setup(part: PairPartition) -> tuple[SetFamily, SetFamily]:
 
 
 class ObservabilityReport(Record):
-    """With witnesses, `_search`'s arrays (else empty); `steps` and `witnesses` derive from them."""
+    """With witnesses, `_search`'s arrays (else empty); `witnesses` walks them."""
 
     __slots__ = ("observable", "theta", "flags", "n", "m", "dist", "via", "toward", "order")
     observable: bool
@@ -117,36 +118,24 @@ class ObservabilityReport(Record):
     order: tuple[int, ...]
 
     @property
-    def steps(self) -> tuple[tuple[int, int, int] | None, ...]:
-        """(first control, T, position in theta of the pair one step on, -1 in Xi) or None."""
-        nn, dist = 1 << self.n, self.dist
-        pairs = [(z - 1) * nn + x - 1 for z, x in self.theta]
-        position = dict(zip(pairs, range(len(pairs))))
-        return tuple((self.via[w], dist[w], position.get(self.toward[w], -1)) if self.order and dist[w] > 0
-                     else None for w in pairs)
-
-    @property
     def witnesses(self) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
-        """(controls, T) per representative, walked along the steps."""
-        steps = self.steps
-
-        def controls(k):
-            while k >= 0:
-                j, _, k = steps[k]
-                yield j
-        return tuple(step and (tuple(controls(k)), step[1]) for k, step in enumerate(steps))
+        """(controls, T) per representative, or None; all None without witnesses."""
+        if not self.order:
+            return (None,) * len(self.theta)
+        nn = 1 << self.n
+        return tuple(_walk(self.dist, self.via, self.toward, (z - 1) * nn + x - 1) for z, x in self.theta)
 
 
-def _search(ext: PairMaps, part: PairPartition, record: bool):
+def _search(ext: PairMaps, part: PairPartition):
     """One breadth-first search backward from Xi over the z < x pairs (the
     copies' swap maps the pair graph onto itself), under the first control
     of each distinct state map, tried in ascending order: a pair is first
     reached through the smallest control that brings it one step closer,
-    the step of the lexicographically smallest shortest witness.  Returns
-    dist, item z*2^n + x (0-based, z < x) the pair's distance to Xi, else
-    -1; then, if `record` (else None), per reached pair w that control
-    via[w] and the pair toward[w] it leads to, and the reached pairs in
-    ascending T."""
+    the step of the lexicographically smallest shortest witness.  This is
+    the one place that step rule lives.  Returns dist, item z*2^n + x
+    (0-based, z < x) the pair's distance to Xi, else -1; per reached pair w
+    that control via[w] and the pair toward[w] it leads to; and the reached
+    pairs in ascending T."""
     nn = 1 << part.n
     first: dict[tuple[int, ...], int] = {}
     for j, mp in enumerate(ext, start=1):
@@ -157,7 +146,7 @@ def _search(ext: PairMaps, part: PairPartition, record: bool):
         for a, w in enumerate(mp[::nn + 1]):  # w = pair_index(s, s), s = L_j a
             pre[(w - 1) // (nn + 1)].append(a)
         preimages.append((j, pre))
-    via, toward, order = ([0] * (nn * nn), [0] * (nn * nn), []) if record else (None, None, None)
+    via, toward, order = [0] * (nn * nn), [0] * (nn * nn), []
     dist = [-1] * (nn * nn)
     frontier = [(v // nn, v % nn, v) for v in (w - 1 for w in part.xi) if v // nn < v % nn]
     for _, _, v in frontier:
@@ -174,13 +163,24 @@ def _search(ext: PairMaps, part: PairPartition, record: bool):
                         if dist[w] < 0:
                             dist[w] = d
                             reached.append((a, b, w))
-                            if record:
-                                via[w] = j
-                                toward[w] = v
-        if record:
-            order += [w for _, _, w in reached]
+                            via[w] = j
+                            toward[w] = v
+        order += [w for _, _, w in reached]
         frontier = reached
     return dist, via, toward, order
+
+
+def _walk(dist, via, toward, w: int) -> tuple[tuple[int, ...], int] | None:
+    """The witness of the 0-based z < x pair w, as (controls, T): follow
+    `_search`'s via/toward from w into Xi.  None if the search never
+    reached w."""
+    if (t := dist[w]) < 0:
+        return None
+    controls = []
+    for _ in range(t):
+        controls.append(via[w])
+        w = toward[w]
+    return tuple(controls), t
 
 
 def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> ObservabilityReport:
@@ -191,7 +191,7 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
         raise ValueError("observability needs at least one output")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
-    dist, via, toward, order = _search(ext, part, want_witnesses)
+    dist, via, toward, order = _search(ext, part)
     nn = form.state_count
     ts = [dist[(z - 1) * nn + x - 1] for z, x in part.theta]
     flags = tuple([t > 0 for t in ts])
@@ -203,28 +203,16 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
 
 def distinguishing_witness(form: AlgebraicForm, z0: int, x0: int) -> tuple[tuple[int, ...], int] | None:
     """Lexicographically smallest shortest control sequence whose joint
-    trajectory from (z0, x0) lands in Xi, or None if unreachable: each
-    step takes the smallest control whose successor pair is one step
-    closer, by the search's distances.  A pair already in Xi yields the
-    empty sequence with T = 0."""
+    trajectory from (z0, x0) lands in Xi, or None if unreachable: `_walk`
+    follows the search's steps from the pair, taken as z < x (swapping
+    the copies maps witnesses onto witnesses).  A pair already in Xi has
+    distance 0 and yields the empty sequence with T = 0."""
     if z0 == x0:
         raise ValueError("witness requires two distinct initial states")
+    pair_index(z0, x0, form.n)  # its IndexError, before any pair-space work
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
-    dist = _search(ext, partition_pairs(form), False)[0]
-    nn, out = form.state_count, form.H.col_index
-
-    def distance(v: int) -> int:  # v is a 0-based pair index
-        z, x = sorted(divmod(v, nn))
-        return 0 if out[z] != out[x] else dist[z * nn + x]
-
-    v = pair_index(z0, x0, form.n) - 1
-    if (t := distance(v)) < 0:
-        return None
-    controls = []
-    for closer in range(t - 1, -1, -1):
-        j, v = next((j, mp[v] - 1) for j, mp in enumerate(ext, start=1) if distance(mp[v] - 1) == closer)
-        controls.append(j)
-    return tuple(controls), len(controls)
+    dist, via, toward, _ = _search(ext, partition_pairs(form))
+    return _walk(dist, via, toward, pair_index(min(z0, x0), max(z0, x0), form.n) - 1)
 
 
 def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:

@@ -80,7 +80,8 @@ def distinguish_distances(model: NetworkModel) -> tuple[tuple[tuple[int, int], i
     states from (z, x), which stops at the first joint state with
     differing outputs, so that state is one of the nearest.  Every
     transition is simulated once, into a table that all the searches
-    read."""
+    read.  A search that ends without differing outputs has seen only
+    joint states that cannot reach them, so later searches skip those."""
     check_size(model.n, model.m, model.p, ("distinguish_oracle",))
     if model.p == 0:
         raise ValueError("model has no outputs")
@@ -91,6 +92,7 @@ def distinguish_distances(model: NetworkModel) -> tuple[tuple[tuple[int, int], i
     out = [None, *(_output(model, a) for a in states)]
 
     results = []
+    dead = set()
     for z in states:
         for x in range(z + 1, nn + 1):
             if out[z] != out[x]:
@@ -102,13 +104,15 @@ def distinguish_distances(model: NetworkModel) -> tuple[tuple[tuple[int, int], i
                 (a, b), d = queue.popleft()
                 for succ in table:
                     nxt = (succ[a], succ[b])
-                    if nxt in seen:
+                    if nxt in seen or nxt in dead:
                         continue
                     seen.add(nxt)
                     if out[nxt[0]] != out[nxt[1]]:
                         dist = d + 1
                         break
                     queue.append((nxt, d + 1))
+            if dist is None:
+                dead |= seen
             results.append(((z, x), dist))
     return tuple(results)
 

@@ -46,9 +46,6 @@ class SetFamily(Record):
         if any(s.universe != self.universe for s in self.sets):
             raise ValueError("member sets disagree on universe size")
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
     def duplicates(self) -> tuple[str, ...]:
         """One warning per set with the same members as an earlier set."""
         seen: dict[tuple[int, ...], int] = {}

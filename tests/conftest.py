@@ -22,6 +22,15 @@ def counter_text(n):
     return "\n".join(lines) + "\n"
 
 
+def rotation_text(n, output):
+    """Input u applies a Toffoli gate after a rotation: x1' = xn ^ (u & x1 & x2),
+    xk' = x(k-1) for k >= 2, y = output."""
+    xs = [f"x{k}" for k in range(1, n + 1)]
+    lines = [f"network rotation{n}", "states: " + ", ".join(xs), "inputs: u", "outputs: y",
+             f"x1' = x{n} ^ (u & x1 & x2)", *(f"x{k}' = x{k - 1}" for k in range(2, n + 1)), f"y = {output}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def toy_model():
     return load_model("toy.bcn")

@@ -135,6 +135,13 @@ class TestSizeGuard:
             query(lac_case1_form)
         assert partition_calls == []
 
+    @pytest.mark.parametrize("pair", [(9, 1), (1, 9)])
+    def test_witness_state_out_of_range(self, partition_calls, lac_case1_form, pair):
+        # The pair is checked, in the order given, before any pair-space work.
+        with pytest.raises(IndexError, match=rf"^pair \({pair[0]},{pair[1]}\) outside 1\.\.8$"):
+            distinguishing_witness(lac_case1_form, *pair)
+        assert partition_calls == []
+
     def test_cli_exits_2(self, partition_calls, small_budget, capsys):
         model = Path(__file__).resolve().parent.parent / "models" / "lac_case1.bcn"
         assert main(["observability", str(model), "--witness"]) == 2
@@ -168,14 +175,12 @@ class TestSizeGuard:
 
     def test_estimate_bounds_traced_peak(self):
         # The traced peak of the verdict with witnesses and its rendering
-        # stays within pair_space_bytes, witness controls included.  The
-        # draws start at n = 2: the estimate has no constant term, and at
-        # n = 1 (4 pairs) fixed allocations of about 1.5 KB exceed it.
+        # stays within pair_space_bytes, witness controls included.
         import tracemalloc
 
         rng = random.Random(2040)
         models = [parse_network(counter_text(n)) for n in (5, 6, 7)]
-        models += [random_model(rng, rng.randint(2, 6), rng.randint(0, 3), rng.randint(1, 2)) for _ in range(20)]
+        models += [random_model(rng, rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 2)) for _ in range(20)]
         for model in models:
             form = algebraic_form(model)
             tracemalloc.start()
@@ -267,6 +272,9 @@ class TestWitness:
 
     def test_pair_already_distinguished(self, lac_case2_form):
         assert distinguishing_witness(lac_case2_form, 1, 3) == ((), 0)
+
+    def test_pair_already_distinguished_swapped(self, lac_case2_form):
+        assert distinguishing_witness(lac_case2_form, 3, 1) == ((), 0)
 
     def test_equal_states_rejected(self, lac_case2_form):
         with pytest.raises(ValueError):
@@ -360,13 +368,14 @@ class TestWitnessChoice:
         assert checked > 100 and ties > 20 and shared > 100
 
     def test_steps_follow_oracle_distances(self):
-        # The verdict's steps are checked against distances from the
-        # brute-force oracle: each representative's step takes the smallest
-        # control whose successor pair is one step closer to Xi and points
-        # at that pair's representative, or at -1 once in Xi.  `ties` makes
-        # sure the draws include pairs where a larger control also
-        # qualifies.  Besides small random models, the draws hold the 4- to
-        # 7-bit counters and random models with n = 5-6.
+        # The steps the verdict's search records are checked against
+        # distances from the brute-force oracle: each representative w is
+        # reached (via[w]) through the smallest control whose successor
+        # pair is one step closer to Xi, at dist[w] = T, and toward[w] is
+        # that pair's z < x index, also at T = 1 where the pair is in Xi.
+        # `ties` makes sure the draws include pairs where a larger control
+        # also qualifies.  Besides small random models, the draws hold the
+        # 4- to 7-bit counters and random models with n = 5-6.
         rng = random.Random(1729)
         models = [parse_network(counter_text(n)) for n in (4, 5, 6, 7)]
         for _ in range(150):
@@ -376,7 +385,7 @@ class TestWitnessChoice:
         checked = ties = 0
         for model in models:
             form = algebraic_form(model)
-            out = form.H.col_index
+            nn, out = form.state_count, form.H.col_index
             ref = dict(distinguish_distances(model))
 
             def distance(a, b):
@@ -384,19 +393,18 @@ class TestWitnessChoice:
                 return 0 if out[a - 1] != out[b - 1] else ref.get((min(a, b), max(a, b)))
 
             report = observability_verdict(form, want_witnesses=True)
-            position = {pair: k for k, pair in enumerate(report.theta)}
             maps = [form.successors(j) for j in range(1, form.control_count + 1)]
-            for (z, x), step in zip(report.theta, report.steps):
-                t = ref[(z, x)]
+            for z, x in report.theta:
+                w, t = (z - 1) * nn + x - 1, ref[(z, x)]
                 if t is None:
-                    assert step is None, (z, x)
+                    assert report.dist[w] == -1, (z, x)
                     continue
                 successors = [(succ[z - 1], succ[x - 1]) for succ in maps]
                 closer = [j for j, pair in enumerate(successors, start=1) if distance(*pair) == t - 1]
-                j, steps_t, nxt = step
-                assert (j, steps_t) == (closer[0], t), (z, x)
-                a, b = successors[j - 1]
-                assert nxt == (-1 if t == 1 else position[(min(a, b), max(a, b))]), (z, x)
+                j = report.via[w]
+                assert (j, report.dist[w]) == (closer[0], t), (z, x)
+                a, b = sorted(successors[j - 1])
+                assert report.toward[w] == (a - 1) * nn + b - 1, (z, x)
                 checked += 1
                 ties += len(closer) > 1
         assert checked > 1000 and ties > 20

@@ -104,3 +104,21 @@ class TestCrossValidation:
             report = observability_verdict(algebraic_form(model))
             truth = dict(distinguish_oracle(model))
             assert truth == dict(zip(report.theta, report.flags))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("output", ["x1 & !x1", "x1 & x2", "x1 ^ x{n}"], ids=["constant", "and", "xor"])
+    def test_rotation_distances(self, n, output):
+        # The rotation's controls mix the joint states, so a search that
+        # finds no differing outputs sees most of them; with constant output
+        # every search is one, and the oracle skips the joint states the
+        # searches before it saw.  Its distances must equal the engine's.
+        from conftest import rotation_text
+
+        model = parse_network(rotation_text(n, output.format(n=n)))
+        form = algebraic_form(model)
+        report = observability_verdict(form, want_witnesses=True)
+        engine = [report.dist[(z - 1) * form.state_count + x - 1] for z, x in report.theta]
+        distances = distinguish_distances(model)
+        assert [pair for pair, _ in distances] == list(report.theta)
+        assert [-1 if d is None else d for _, d in distances] == engine
+        assert tuple(d is not None for _, d in distances) == report.flags
