@@ -30,13 +30,20 @@ from .record import Record
 #: and output controllability models with more outputs (H has 2^p rows).
 MAX_FLAT_VARS = 20
 
-#: Runs whose estimated peak memory (`closure_bytes`, `pair_space_bytes`)
-#: exceeds this many bytes are refused, half of an 8 GiB machine.
+#: Runs whose estimated peak memory (`compile_bytes`, `closure_bytes` or
+#: `pair_space_bytes`) exceeds this many bytes are refused, half of 8 GiB.
 MAX_BYTES = 4 << 30
 
 
 class SizeLimitError(ValueError):
     """A model exceeds a size limit of the requested analysis (`check_size`)."""
+
+
+def compile_bytes(columns_log2: int) -> int:
+    """Estimated peak memory of compiling 2^(n+m) columns: 16 MiB plus 128 B
+    per column.  Fitted to `bcn compile`'s peak RSS on n-bit counters, 21.9,
+    45.2, 76.6, 140.2, 264 and 516 MiB at n + m = 16 and 18-22, at most 98%."""
+    return (16 << 20) + (128 << columns_log2)
 
 
 def closure_bytes(n: int, outputs: int = 0, emit: bool = False) -> int:
@@ -68,12 +75,15 @@ def check_size(n: int, m: int, p: int, stages, max_vars: int = MAX_FLAT_VARS,
                witness_steps: int = 0) -> None:
     """Raise the one `SizeLimitError` for the first of the stages, in this
     order, too large for n states, m inputs and p outputs: "compile"
-    (n + m <= max_vars), "outputs" (p <= 20), "closure" (printing too with
-    "emit"), "pairs", "reach_oracle" (n + m <= 12), "distinguish_oracle"
-    (3n + m <= 27, fitted to its 2^(3n+m) steps on the n-bit counter),
-    "dense_row" (2n <= 12).  Only `witness_steps` needs work."""
+    (n + m <= max_vars and, past MAX_FLAT_VARS, `compile_bytes`), "outputs"
+    (p <= 20), "closure" (printing too with "emit"), "pairs", "reach_oracle"
+    (n + m <= 12), "distinguish_oracle" (3n + m <= 27, fitted to its
+    2^(3n+m) steps on the n-bit counter), "dense_row" (2n <= 12).  Only
+    `witness_steps` needs work."""
     if "compile" in stages and n + m > max_vars:
         text = f"model has {n + m} state+input variables; flat compilation is limited to {max_vars}"
+    elif "compile" in stages and n + m > MAX_FLAT_VARS and (need := compile_bytes(n + m)) > MAX_BYTES:
+        text = f"flat compilation of 2^{n + m} columns {_needs(need)}"
     elif "outputs" in stages and p > MAX_FLAT_VARS:
         text = f"model has {p} outputs; output controllability is limited to {MAX_FLAT_VARS}"
     elif "closure" in stages and (

@@ -18,6 +18,7 @@ states only.  Operator precedence, tightest first:
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Mapping, Union
 
 from .record import Record
@@ -177,47 +178,33 @@ def pretty(e: Expr) -> str:
 
 # -- lexer ---------------------------------------------------------------
 
-_PUNCT = ("<->", "->", "!", "&", "^", "|", "(", ")", ",", ":", "'", "=")
+#: One token after optional blanks: a bit (0 or 1 before no word character),
+#: a word (`\w` is `str.isalnum` or "_"; it is a name only if it starts with
+#: a letter or "_", as `\w` also takes numerals such as "²"), an operator of
+#: `_OPERATORS`, longest first, punctuation, a comment or any other character.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<bit>[01](?!\w))|(?P<name>\w+)|(?P<punct>"
+    + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+    + r"|[!(),:'=])|(?P<comment>#)|(?P<bad>[^ \t\r]))")
 
 
 class _Tok(Record):
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "col")
     kind: str  # 'name', 'bit' or a punctuation literal
     text: str
-    line: int
     col: int
 
 
 def _lex_line(text: str, line_no: int) -> list[_Tok]:
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        word, col = match[kind], match.start(kind) + 1
+        if kind == "comment":
             break
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i + 1
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], line_no, col))
-            i = j
-            continue
-        if ch in "01" and not (i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_")):
-            toks.append(_Tok("bit", ch, line_no, col))
-            i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok(p, p, line_no, col))
-                i += len(p)
-                break
-        else:
-            raise NetworkParseError(f"unexpected character {ch!r}", line_no, col)
+        if kind == "bad" or kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise NetworkParseError(f"unexpected character {word[0]!r}", line_no, col)
+        toks.append(_Tok(word if kind == "punct" else kind, word, col))
     return toks
 
 
@@ -252,7 +239,7 @@ def _parse_tokens(toks: list[_Tok], line: int) -> tuple[Expr, set[str]]:
                 names.add(t.text)
                 operands.append(Var(t.text))
             else:
-                raise NetworkParseError(f"unexpected token {t.text!r}", t.line, t.col)
+                raise NetworkParseError(f"unexpected token {t.text!r}", line, t.col)
         elif t.kind in _OPERATORS:
             _, level, rassoc = _OPERATORS[t.kind]
             # An operator of the same level waits only if right-associative.
@@ -267,7 +254,7 @@ def _parse_tokens(toks: list[_Tok], line: int) -> tuple[Expr, set[str]]:
         elif depth:
             raise NetworkParseError(f"expected ')', got {t.text!r}", line, t.col)
         else:
-            raise NetworkParseError(f"trailing input {t.text!r}", t.line, t.col)
+            raise NetworkParseError(f"trailing input {t.text!r}", line, t.col)
         # An operand is complete: apply the '!'s written before it.
         while ops and ops[-1] == "!":
             ops.pop()
@@ -316,11 +303,11 @@ def _split_names(toks: list[_Tok], line: int) -> list[str]:
     for t in toks:
         if expect_name:
             if t.kind != "name":
-                raise NetworkParseError(f"expected identifier, got {t.text!r}", t.line, t.col)
+                raise NetworkParseError(f"expected identifier, got {t.text!r}", line, t.col)
             names.append(t.text)
         else:
             if t.kind != ",":
-                raise NetworkParseError(f"expected ',', got {t.text!r}", t.line, t.col)
+                raise NetworkParseError(f"expected ',', got {t.text!r}", line, t.col)
         expect_name = not expect_name
     if expect_name and names:
         raise NetworkParseError("trailing comma", line, 0)

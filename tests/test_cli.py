@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bcnkit import compiler, reach
+from bcnkit import compiler, observe, reach
 from bcnkit.cli import main
 from conftest import counter_text
 
@@ -48,6 +48,12 @@ class TestCompile:
         code, _, err = run(capsys, "compile", bad)
         assert code == 2
         assert "line 3" in err
+
+    def test_comment_only_model(self, capsys, tmp_path):
+        bad = tmp_path / "comment.bcn"
+        bad.write_text("# nothing but a comment\n")
+        code, out, err = run(capsys, "compile", bad)
+        assert (code, out, err) == (2, "", f"error: {bad}: line 1, col 1: empty model\n")
 
 
 class TestControllability:
@@ -132,6 +138,7 @@ class TestSetControllability:
         pytest.param(_spec('[{"states": [' + ", ".join(map(str, range(3, 2003))) + "]}]"),
                      id="many-out-of-range"),
         pytest.param(_spec('[{"states": [-1]}]'), id="negative"),
+        pytest.param(_spec("[]"), id="empty-family"),
         pytest.param(_spec('[{"states": [[1]]}]'), id="nested"),
         pytest.param(_spec("[" * 100_000 + "]" * 100_000), id="deep-array"),
     ])
@@ -160,6 +167,11 @@ class TestOutputControllability:
         assert code == 0
         assert out.startswith("output controllable")
         assert "oracle: agree" in out
+
+    def test_emit_matrices(self, capsys):
+        code, out, err = run(capsys, "output-controllability", MODELS / "toy.bcn", "--emit-matrices")
+        assert (code, err) == (0, "")
+        assert out == "output controllable\nC:\n4 4\n1111\n1111\n0010\n1111\nC_Y:\n2 4\n1111\n1111\n"
 
     def test_outputless_model_fails_gracefully(self, capsys):
         code, _, err = run(capsys, "output-controllability", MODELS / "lac_operon.bcn")
@@ -295,6 +307,7 @@ REJECTED = {
     "flag of another command": ["compile", TOY, "--oracle"],
     "two models": ["compile", TOY, TOY],
     "option after --": ["compile", TOY, "--", "--max-size"],
+    "-- after an option's value": ["compile", TOY, "--max-size", "3", "--"],
     "option before the command": ["--max-size", "5", "compile", TOY],
     "abbreviated command": ["comp", TOY],
     "error before -h": ["controllability", TOY, "--max-size", "abc", "-h"],
@@ -338,6 +351,7 @@ ACCEPTED = {
                                 ["controllability", "--help"]),
     "--he without --sets": (["set-controllability", TOY, "--he"], ["set-controllability", "--help"]),
     "--help before the command": (["--help", "frobnicate"], ["--help"]),
+    "-hh for --help": (["compile", "-hh"], ["compile", "--help"]),
 }
 
 #: Every command's options and what may follow them, for the fuzz below.
@@ -474,6 +488,7 @@ class TestExitContract:
     #: below names: (stages, n, p); a byte budget is set to the estimate.
     AT_LIMIT = {
         "flat compilation is limited to 20": [(("compile",), 20, 1)],
+        "flat compilation of 2^25 columns": [(("compile",), 24, 1)],
         "reach oracle is limited to n+m <= 12": [(("reach_oracle",), 12, 1)],
         "output controllability is limited to 20": [(("outputs",), 1, 20)],
         "dense closure over 2^17 states": [(("closure",), 16, 1), (("outputs", "closure"), 16, 20)],
@@ -510,6 +525,9 @@ class TestExitContract:
         (["observability", "--witness"], 2, 0, "model declares no outputs; observability is undefined"),
         # Admitted by the earlier 2n <= 20 bound, which took minutes here.
         (["observability", "--oracle"], 10, 1, "distinguishability oracle is limited to 3n+m <= 27"),
+        # Admitted by --max-size, refused by the compile estimate.
+        (["compile", "--max-size", "30"], 25, 1, "flat compilation of 2^25 columns"),
+        (["observability", "--max-size", "30"], 25, 1, "flat compilation of 2^25 columns"),
     ])
     def test_size_limit_exits_2(self, capsys, tmp_path, monkeypatch, argv, states, outputs, message):
         # Every limit is checked before compiling, and a command prints
@@ -538,7 +556,7 @@ class TestExitContract:
                 monkeypatch.setattr(compiler, "MAX_BYTES", need)
             elif "pairs" in stages:
                 monkeypatch.setattr(compiler, "MAX_BYTES", compiler.pair_space_bytes(n, 0))
-            compiler.check_size(n, 0, p, stages)
+            compiler.check_size(n, 0, p, stages, max(n, compiler.MAX_FLAT_VARS))
 
     @pytest.mark.parametrize("stages", [
         ("compile",), ("outputs",), ("closure",), ("closure", "emit"), ("outputs", "closure", "emit"),
@@ -551,13 +569,25 @@ class TestExitContract:
         refused = 0
         for n in sizes:
             for m in sizes:
-                for max_vars in {compiler.MAX_FLAT_VARS, max(n + m - 1, 1)}:
+                for max_vars in {compiler.MAX_FLAT_VARS, max(n + m - 1, 1), n + m}:
                     try:
                         compiler.check_size(n, m, m, stages, max_vars)
                     except compiler.SizeLimitError as e:
                         refused += 1
                         assert len(f"error: {e}") < 120 and "\n" not in str(e), str(e)
         assert refused
+
+    @pytest.mark.parametrize("command", ["controllability", "observability"])
+    def test_internal_fault_exits_2(self, capsys, monkeypatch, command):
+        # A fault inside an engine is not an answer: exit 2, never 1, with
+        # one `internal error` line naming the exception.
+        def fault(*args, **kwargs):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(reach, "controllability_matrix", fault)
+        monkeypatch.setattr(observe, "observability_verdict", fault)
+        code, out, err = run(capsys, command, MODELS / "toy.bcn")
+        assert (code, out, err) == (2, "", "error: internal error: RuntimeError: engine fault\n")
 
     @pytest.mark.parametrize("flags", [[], ["--emit-matrices"], ["--oracle"]])
     def test_too_many_outputs_refused_before_closure(self, capsys, tmp_path, monkeypatch, flags):

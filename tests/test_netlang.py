@@ -1,10 +1,12 @@
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bcnkit.netlang import (
+    _lex_line,
     And,
     Const,
     Iff,
@@ -297,3 +299,74 @@ class TestParserFuzz:
                 assert parse_network(format_network(again)) == again
         # Both outcomes occur, so the edits reach past the first token.
         assert 0 < parsed < self.MODELS * self.EDITS
+
+
+# The character-by-character lexer that the token pattern replaced, kept
+# verbatim as the reference of `TestLexerReference`, with a plain tuple for
+# its tokens.
+_PUNCT = ("<->", "->", "!", "&", "^", "|", "(", ")", ",", ":", "'", "=")
+_Tok = namedtuple("_Tok", "kind text line col")
+
+
+def _reference_lex_line(text: str, line_no: int) -> list[_Tok]:
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "#":
+            break
+        if ch in " \t\r":
+            i += 1
+            continue
+        col = i + 1
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_Tok("name", text[i:j], line_no, col))
+            i = j
+            continue
+        if ch in "01" and not (i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_")):
+            toks.append(_Tok("bit", ch, line_no, col))
+            i += 1
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                toks.append(_Tok(p, p, line_no, col))
+                i += len(p)
+                break
+        else:
+            raise NetworkParseError(f"unexpected character {ch!r}", line_no, col)
+    return toks
+
+
+class TestLexerReference:
+    """The token pattern reads every line as the character-by-character
+    lexer did: the same (kind, text, col) tokens, or the same error.  The
+    characters add to the fuzz alphabet letters and numerals past ASCII
+    (`\\w` takes "²", "½" and "Ⅷ", which `str.isalpha` rejects), a
+    combining accent and non-ASCII spaces; whole operators and bits make
+    longer token runs likely."""
+
+    CHARS = TestParserFuzz.ALPHABET + "\u00e9\u03a9\u00aa\u0663\u00b2\u00bd\u2167\u0301\u00a0\u2003\u3000"
+    UNITS = [*CHARS, "<->", "->", "x1", "0 ", "1)"]
+    LINES = 12_000
+
+    @staticmethod
+    def _lexed(lex, text):
+        try:
+            return [(t.kind, t.text, t.col) for t in lex(text, 7)]
+        except NetworkParseError as e:
+            return e.message, e.line, e.col
+
+    def test_same_tokens_and_errors(self):
+        rng = random.Random(20)
+        errors = 0
+        for _ in range(self.LINES):
+            text = "".join(rng.choice(self.UNITS) for _ in range(rng.randint(0, 14)))
+            expected = self._lexed(_reference_lex_line, text)
+            assert self._lexed(_lex_line, text) == expected, text
+            errors += isinstance(expected, tuple)
+        # Both outcomes occur often.
+        assert self.LINES // 10 < errors < self.LINES * 9 // 10

@@ -19,7 +19,8 @@ from bcnkit.observe import (
     partition_pairs,
     render_report,
 )
-from bcnkit.oracle import distinguish_distances, random_model
+from bcnkit.oracle import distinguish_distances, distinguish_oracle, random_model, reach_oracle
+from bcnkit.reach import controllability_matrix, one_step_matrix
 from conftest import counter_text
 
 
@@ -239,6 +240,20 @@ class TestVerdict:
                 continue
             row = dense_verdict_row(form)
             assert tuple(row.get(1, k) == 1 for k in range(1, row.cols + 1)) == report.flags
+
+    def test_three_engines_agree_above_n_3(self):
+        # The search, the dense pair-space closure and the brute-force
+        # oracle give the same flags, and the closure the oracle's reach.
+        rng = random.Random(4646)
+        for _ in range(24):
+            model = random_model(rng, rng.randint(4, 6), rng.randint(0, 2), rng.randint(1, 2))
+            form = algebraic_form(model)
+            assert controllability_matrix(one_step_matrix(form)) == reach_oracle(model)
+            report = observability_verdict(form)
+            assert dict(distinguish_oracle(model)) == dict(zip(report.theta, report.flags))
+            if report.theta:
+                row = dense_verdict_row(form)
+                assert tuple(row.get(1, k) == 1 for k in range(1, row.cols + 1)) == report.flags
 
     def test_orientation_symmetry(self):
         rng = random.Random(999)
