@@ -2,18 +2,21 @@
 
 Two copies of the network are driven by one shared control sequence; the
 joint state (z, x) is one index in 1..2^(2n).  Pairs split into the
-diagonal D, the same-output class Theta and the differing-output class Xi.
-The network is observable exactly when from every Theta pair some control
-sequence reaches Xi; a shortest such sequence is a distinguishing witness.
-`_search` finds every distance and every witness step in one
-breadth-first search backward from Xi, kept in flat per-pair arrays:
-`_walk` follows them from one pair, and `render_report` writes every
-witness from them.  `dense_verdict_row` is the paper's dense
-cross-check.  `check_size` refuses a pair space too large for memory
-before building it, and too many witness controls after.
+diagonal D, the same-output class Theta and the differing-output class Xi;
+`partition_pairs` builds Theta and Xi per output class.  The network is
+observable exactly when from every Theta pair some control sequence reaches
+Xi; a shortest such sequence is a distinguishing witness.  `_search` finds
+every distance and every witness step in one breadth-first search backward
+from Xi, skipping any control whose state map is the identity, and keeps
+them in flat per-pair arrays: `_walk` follows them from one pair, and
+`render_report` writes every witness from them.  `dense_verdict_row` is the
+paper's dense cross-check.  `check_size` refuses a pair space too large for
+memory before building it, and too many witness controls after.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .boolmat import BooleanMatrix
 from .compiler import AlgebraicForm, SizeLimitError, check_size
@@ -56,16 +59,16 @@ class PairPartition(Record):
 def partition_pairs(form: AlgebraicForm) -> PairPartition:
     outputs = form.H.col_index
     nn = len(outputs)
-    theta = []
-    xi = []
-    states = list(zip(range(1, nn + 1), outputs))  # one int object per state, shared by its pairs
-    for z, hz in states:
-        w = (z - 1) * nn  # pair_index(z, x, n) - x
-        for x, hx in states:
-            if hz != hx:
-                xi.append(w + x)
-            elif z < x:
-                theta.append((z, x))
+    states = range(1, nn + 1)
+    classes: dict[int, list[int]] = {}  # output column -> its states, ascending
+    for x, h in zip(states, outputs):
+        classes.setdefault(h, []).append(x)
+    others = {h: [x for x, hx in zip(states, outputs) if hx != h] for h in classes}
+    theta, xi = [], []
+    for z, h in zip(states, outputs):
+        same = classes[h]
+        theta += zip(repeat(z), same[same.index(z) + 1:])
+        xi += map(((z - 1) * nn).__add__, others[h])  # pair_index(z, x, n)
     return PairPartition(n=form.n, theta=tuple(theta), xi=frozenset(xi))
 
 
@@ -132,41 +135,47 @@ def _search(ext: PairMaps, part: PairPartition):
     of each distinct state map, tried in ascending order: a pair is first
     reached through the smallest control that brings it one step closer,
     the step of the lexicographically smallest shortest witness.  This is
-    the one place that step rule lives.  Returns dist, item z*2^n + x
-    (0-based, z < x) the pair's distance to Xi, else -1; per reached pair w
-    that control via[w] and the pair toward[w] it leads to; and the reached
-    pairs in ascending T."""
+    the one place that step rule lives.  A control whose state map is the
+    identity is skipped: each pair is its own preimage under it, already
+    reached.  Returns dist, item z*2^n + x (0-based, z < x) the pair's
+    distance to Xi, else -1; per reached pair w that control via[w] and
+    the pair toward[w] it leads to; and the reached pairs in ascending T."""
     nn = 1 << part.n
     first: dict[tuple[int, ...], int] = {}
     for j, mp in enumerate(ext, start=1):
         first.setdefault(mp, j)  # dict.fromkeys(ext), with each map's first control
+    identity = tuple(range(1, nn * nn + 1, nn + 1))  # the identity map's diagonal
     preimages = []
     for mp, j in first.items():
+        diag = mp[::nn + 1]  # diag[a] = pair_index(s, s), s = L_j a
+        if diag == identity:
+            continue
         pre: list[list[int]] = [[] for _ in range(nn)]
-        for a, w in enumerate(mp[::nn + 1]):  # w = pair_index(s, s), s = L_j a
+        for a, w in enumerate(diag):
             pre[(w - 1) // (nn + 1)].append(a)
         preimages.append((j, pre))
     via, toward, order = [0] * (nn * nn), [0] * (nn * nn), []
     dist = [-1] * (nn * nn)
-    frontier = [(v // nn, v % nn, v) for v in (w - 1 for w in part.xi) if v // nn < v % nn]
-    for _, _, v in frontier:
+    vs = [v for v in (w - 1 for w in part.xi) if v // nn < v % nn]
+    for v in vs:
         dist[v] = 0
-    d = 0
-    while frontier:
+    zs, xs, d = [v // nn for v in vs], [v % nn for v in vs], 0
+    while vs:  # the frontier: pair vs[i] is (zs[i], xs[i])
         d += 1
-        reached = []
+        size, az, ax = len(order), [], []
         for j, pre in preimages:
-            for z, x, v in frontier:
+            for z, x, v in zip(zs, xs, vs):
                 for a in pre[z]:
                     for b in pre[x]:
                         w = a * nn + b if a < b else b * nn + a
                         if dist[w] < 0:
                             dist[w] = d
-                            reached.append((a, b, w))
                             via[w] = j
                             toward[w] = v
-        order += [w for _, _, w in reached]
-        frontier = reached
+                            order.append(w)
+                            az.append(a)
+                            ax.append(b)
+        zs, xs, vs = az, ax, order[size:]
     return dist, via, toward, order
 
 
@@ -234,12 +243,13 @@ def render_report(report: ObservabilityReport, cs_row: BooleanMatrix | None = No
     and the text of the pair one step on, every int through one str table;
     each line then releases its text, so the two are never all held."""
     theta, dist, via, toward, order = report.theta, report.dist, report.via, report.toward, report.order
+    nn = 1 << report.n
+    top = max(nn, 1 << report.m, dist[order[-1]]) if order else nn  # the largest int written
+    names = [str(i) for i in range(top + 1)]
     if not order:
-        lines = [f"{{{z},{x}}} -> {'distinguishable' if flag else 'indistinguishable'}"
+        lines = [f"{{{names[z]},{names[x]}}} -> {'distinguishable' if flag else 'indistinguishable'}"
                  for (z, x), flag in zip(theta, report.flags)]
     else:
-        nn = 1 << report.n
-        names = [str(i) for i in range(max(nn, 1 << report.m, dist[order[-1]]) + 1)]
         text = [""] * (nn * nn)  # "" in Xi and for pairs the search did not reach
         for w in order:
             t = text[toward[w]]

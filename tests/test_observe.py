@@ -78,17 +78,27 @@ class TestPartition:
         assert part.xi == frozenset({2, 3})
 
     def test_partition_is_exhaustive_and_disjoint(self):
+        # partition_pairs builds Theta and Xi per output class; the
+        # reference here enumerates all 4^n pairs.  With p = 3 some draws
+        # have 8 output classes (`classes` counts them).
         rng = random.Random(411)
-        for n in (1, 2, 3, 4):
+        classes = set()
+        for n in (1, 2, 3, 4, 5, 6):
             for _ in range(12):
-                p = rng.randint(1, 2)
-                model = random_model(rng, n, 0, p)
-                part = partition_pairs(algebraic_form(model))
+                p = rng.randint(1, 3)
+                form = algebraic_form(random_model(rng, n, 0, p))
+                part = partition_pairs(form)
+                nn, out = form.state_count, form.H.col_index
+                pairs = [(z, x) for z in range(1, nn + 1) for x in range(1, nn + 1)]
+                assert part.theta == tuple((z, x) for z, x in pairs if z < x and out[z - 1] == out[x - 1])
+                assert part.xi == {pair_index(z, x, n) for z, x in pairs if out[z - 1] != out[x - 1]}
                 total = 1 << (2 * n)
                 d, th, xi = part.diagonal, part.theta_ordered, part.xi
                 assert len(d) + len(th) + len(xi) == total
                 assert not (d & th) and not (d & xi) and not (th & xi)
                 assert d | th | xi == frozenset(range(1, total + 1))
+                classes.add(len(set(out)))
+        assert max(classes) == 8
 
 
 class TestExtendedSystem:
@@ -390,9 +400,18 @@ class TestWitnessChoice:
         # that pair's z < x index, also at T = 1 where the pair is in Xi.
         # `ties` makes sure the draws include pairs where a larger control
         # also qualifies.  Besides small random models, the draws hold the
-        # 4- to 7-bit counters and random models with n = 5-6.
+        # 4- to 7-bit counters, random models with n = 5-6, and three
+        # models with a control whose state map is the identity, which the
+        # search skips: a model with no input whose update is the identity
+        # (no pair is distinguishable), the 4-bit counter counting on
+        # u = 0, so that control 1 holds, and a two-input counter counting
+        # on u ^ v, so that controls 1 and 4 hold.
         rng = random.Random(1729)
         models = [parse_network(counter_text(n)) for n in (4, 5, 6, 7)]
+        models.append(parse_network("network ident\nstates: x1, x2, x3\noutputs: y\n"
+                                    "x1' = x1\nx2' = x2\nx3' = x3\ny = x1 | x2\n"))
+        models.append(parse_network(counter_text(4).replace("(u", "(!u")))
+        models.append(parse_network(counter_text(4).replace("inputs: u", "inputs: u, v").replace("(u", "((u ^ v)")))
         for _ in range(150):
             models.append(random_model(rng, rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 2)))
         for _ in range(20):
