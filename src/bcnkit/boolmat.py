@@ -23,10 +23,10 @@ pick.  The first product with A on the left turns A into a gather plan
 gathers and ORs rows of B with `operator.itemgetter` and `map`, one
 gather per support position of A's longest row, so the Python-level
 steps per product equal the size of that row's support, not A's number
-of ones.  The reachability closure multiplies the same one-step matrix
-on the left in every round, so it builds one plan.  When the plan's sort
-keeps the row order, as for the counter's one-step matrix, whose rows all
-have two ones, a product skips the un-sort.
+of ones.  The reachability closure multiplies the same matrix, M + I, on
+the left in every round, so it builds one plan.  When the plan's sort
+keeps the row order, as for the counter's M + I (equal to its M), whose
+rows all have two ones, a product skips the un-sort.
 
 Products and sums build their results with `BooleanMatrix._unchecked`,
 without re-checking that every row fits the column count: their rows are

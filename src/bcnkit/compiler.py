@@ -48,12 +48,12 @@ def compile_bytes(columns_log2: int) -> int:
 
 def closure_bytes(n: int, outputs: int = 0, emit: bool = False) -> int:
     """Estimated peak memory of closing the 2^n x 2^n one-step matrix: 24 MiB,
-    9/16 byte per entry of C (about four packed matrices live at once), 192 B
-    per row of a 2^outputs-row H * C and, with `emit`, 3 B per entry of the
-    widest printed matrix (2 at n = 13-14, 3 at n = 11-12).  Fitted to `bcn`'s
-    peak RSS (`os.wait4`, `ulimit -v`): the shift register, whose closure rows
-    fill up, peaked at 27, 49, 142 and 510 MiB for n = 12-15, at most 85%."""
-    return (24 << 20) + (9 << 2 * n >> 4) + (192 << outputs) + (3 << n + max(n, outputs) if emit else 0)
+    11/16 byte per entry of C (M, M + I, C and a product's two partial sums
+    live at once), 192 B per row of a 2^outputs-row H * C and, with `emit`,
+    3 B per entry of the widest printed matrix (2 at n = 13-14, 3 at n = 11-12).
+    Fitted to `bcn`'s peak RSS (`os.wait4`): the shift register, whose closure
+    rows fill up, peaked at 27, 55, 165 and 598 MiB for n = 12-15, at most 83%."""
+    return (24 << 20) + (11 << 2 * n >> 4) + (192 << outputs) + (3 << n + max(n, outputs) if emit else 0)
 
 
 def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:

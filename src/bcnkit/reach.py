@@ -68,13 +68,17 @@ def controllability_matrix(m: BooleanMatrix) -> BooleanMatrix:
 
     Equals the Boolean sum of M^(i) for i = 1..size (path lengths above
     the vertex count add nothing); entry (i,j) marks reachability of i
-    from j in at least one step.
+    from j in at least one step.  Each round is one product, C <- (I+M)*C,
+    with the same iterates and rounds, since C_k + M*C_k = M + M*C_k:
+    M <= C_k, and C_k = M + M*C_(k-1) <= M + M*C_k as the iterates grow.
+    I only ever multiplies C, so the diagonal still needs a real cycle.
     """
     if m.rows != m.cols:
         raise ShapeError("one-step matrix must be square")
+    step = m.add(BooleanMatrix.identity(m.rows))
     c = m
     while True:
-        nxt = m.add(m.mul(c))
+        nxt = step.mul(c)
         if nxt == c:
             return c
         c = nxt

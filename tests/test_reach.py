@@ -83,6 +83,66 @@ class TestClosure:
         assert c.get(1, 1) == 0 and c.get(2, 2) == 0
 
 
+def paper_closure(m):
+    """The paper's loop C <- M + M*C from C = M, literally: the closure
+    and the number of rounds (one product each) until C stops changing."""
+    c, rounds = m, 0
+    while True:
+        nxt = m.add(m.mul(c))
+        rounds += 1
+        if nxt == c:
+            return c, rounds
+        c = nxt
+
+
+def closure_draws(kind):
+    """Seeded one-step matrices of one kind: random models (n 1-7, m 0-3),
+    the one-state matrices (the n = 0 models among them), and random
+    matrices with all-zero rows or with no self-loop (every other one
+    acyclic, with a chain through all states)."""
+    rng = random.Random(20261019)
+    if kind == "random_model":
+        for k in range(70):
+            model = random_model(rng, n=1 + k % 7, m=rng.randint(0, 3), p=1)
+            yield one_step_matrix(algebraic_form(model))
+    elif kind == "one_state":
+        for m in range(4):
+            yield one_step_matrix(algebraic_form(random_model(rng, n=0, m=m, p=1)))
+        yield BooleanMatrix.identity(1)
+        yield BooleanMatrix.zeros(1, 1)
+    else:
+        for k in range(60):
+            size = rng.randint(1, 40)
+            rows = [rng.getrandbits(size) & rng.getrandbits(size) for _ in range(size)]
+            if kind == "zero_rows":
+                for i in rng.sample(range(size), rng.randint(1, size)):
+                    rows[i] = 0
+            elif k % 2:  # acyclic and sparse: a chain, and a few edges from lower states
+                sparse = (b & rng.getrandbits(i) & rng.getrandbits(i) for i, b in enumerate(rows))
+                rows = [b | 1 << i >> 1 for i, b in enumerate(sparse)]
+            else:
+                rows = [b & ~(1 << i) for i, b in enumerate(rows)]
+            yield BooleanMatrix(size, size, rows)
+
+
+class TestClosureIteration:
+    @pytest.mark.parametrize("kind", ["random_model", "one_state", "zero_rows", "no_self_loop"])
+    def test_equals_paper_loop(self, kind, monkeypatch):
+        # One product per round, C <- (I+M)*C, must give the paper's closure
+        # in the paper's number of rounds, all with one left operand and
+        # one gather plan.
+        real_mul, real_plan = BooleanMatrix.mul, BooleanMatrix._gather_plan
+        for k, m in enumerate(closure_draws(kind)):
+            expected, rounds = paper_closure(m)
+            lefts, plans = [], []
+            monkeypatch.setattr(BooleanMatrix, "mul", lambda a, b: lefts.append(a) or real_mul(a, b))
+            monkeypatch.setattr(BooleanMatrix, "_gather_plan", lambda a: plans.append(a) or real_plan(a))
+            c = controllability_matrix(m)
+            monkeypatch.undo()
+            assert (c, len(lefts)) == (expected, rounds), f"{kind} draw {k}"
+            assert len({id(a) for a in lefts}) == 1 and plans == lefts[:1], f"{kind} draw {k}"
+
+
 # The 8-bit counter: xk' = xk ^ (u & x1 & ... & x(k-1)), y = x1 & ... & x8.
 # Its one-step graph is a 256-cycle plus self-loops, so the closure
 # needs 255 rounds before it stops changing.
