@@ -13,9 +13,10 @@ operation returns a fresh matrix.
 Index lists and packed rows convert one way each.  `from_columns` builds
 a matrix from its columns, each a list of its 1-based rows: the one-step
 matrix, the indicator matrices of set families, a logical matrix and a
-transpose are all built so.  `_support` walks the set bits of a packed
+transpose are all built so.  `_support` lists the set bits of a packed
 row, lowest first, for the transpose, the Kronecker product and the
-gather plan below.
+gather plan below: a loop over the bits of a sparse row, the binary text
+of a dense one.
 
 A product A*B ORs together, for each row of A, the rows of B its set bits
 pick.  The first product with A on the left turns A into a gather plan
@@ -24,9 +25,11 @@ gathers and ORs rows of B with `operator.itemgetter` and `map`, one
 gather per support position of A's longest row, so the Python-level
 steps per product equal the size of that row's support, not A's number
 of ones.  The reachability closure multiplies the same matrix, M + I, on
-the left in every round, so it builds one plan.  When the plan's sort
-keeps the row order, as for the counter's M + I (equal to its M), whose
-rows all have two ones, a product skips the un-sort.
+the left in every round, so it builds one plan.  A square A whose
+diagonal is all ones, as M + I is, is planned from A - I: the product is
+B + (A - I)*B, B's rows ORed in whole, not gathered.  When the plan's
+sort keeps the row order, as for the counter's M + I, whose rows each
+have one bit off the diagonal, a product skips the un-sort.
 
 Products and sums build their results with `BooleanMatrix._unchecked`,
 without re-checking that every row fits the column count: their rows are
@@ -192,12 +195,18 @@ class BooleanMatrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        slots, unsort = self._plan or self._gather_plan()
+        slots, unsort, plus = self._plan or self._gather_plan()
         ob = other._bits
-        acc = [0] * self.rows
-        for t, (w, get) in enumerate(slots):
-            acc[:w] = map(or_, acc, get(ob)) if t else get(ob)
-        return BooleanMatrix._unchecked(self.rows, other.cols, unsort(acc))
+        if len(slots) == 1 and slots[0][0] == self.rows:
+            acc = slots[0][1](ob)  # one slot spanning every row: its gather is the sum
+        else:
+            acc = [0] * self.rows
+            for t, (w, get) in enumerate(slots):
+                acc[:w] = map(or_, acc, get(ob)) if t else get(ob)
+        out = unsort(acc)
+        if plus:  # B + (A - I)*B, and just B for A = I
+            out = map(or_, ob, out) if slots else ob
+        return BooleanMatrix._unchecked(self.rows, other.cols, out)
 
     def _gather_plan(self) -> tuple[tuple, Callable]:
         """How to multiply by any right operand with self on the left.
@@ -208,11 +217,16 @@ class BooleanMatrix:
         takes one C-level gather per support position of the longest row.
         The last step puts the rows back in order; when the stable sort
         left them in place (every row with the same support size, as in
-        the counter's one-step matrix), it is just `tuple`.  Matrices are
-        immutable, so the plan, built on first use and kept, cannot go stale.
+        the counter's one-step matrix), it is just `tuple`.  A square self
+        with an all-ones diagonal is planned from self - I, and `mul` adds
+        the right operand's rows (the identity, with no slot, returns them).
+        Matrices are immutable, so the plan, built on first use and kept,
+        cannot go stale.
         """
-        order = sorted(range(self.rows), key=lambda i: self._bits[i].bit_count(), reverse=True)
-        ranked = [_support(self._bits[i]) for i in order]
+        plus = self.rows == self.cols and all(b >> i & 1 for i, b in enumerate(self._bits))
+        supports = [_support(b ^ plus << i) for i, b in enumerate(self._bits)]  # A - I if plus
+        order = sorted(range(self.rows), key=lambda i: len(supports[i]), reverse=True)
+        ranked = [supports[i] for i in order]
         slots = []
         w = self.rows
         for t in range(len(ranked[0])):
@@ -223,7 +237,7 @@ class BooleanMatrix:
             unsort = tuple
         else:
             unsort = _getter(sorted(range(self.rows), key=order.__getitem__))
-        self._plan = tuple(slots), unsort
+        self._plan = tuple(slots), unsort, plus
         return self._plan
 
     def kron(self, other: "BooleanMatrix") -> "BooleanMatrix":
@@ -258,7 +272,11 @@ class BooleanMatrix:
 
 
 def _support(b: int) -> list[int]:
-    """0-based positions of the set bits of b, lowest first."""
+    """0-based positions of the set bits of b, lowest first.  Each step of
+    the loop copies b, so a row with more than a quarter of its bits set,
+    or more than 512, is read from its binary text instead."""
+    if b.bit_count() * 4 > min(b.bit_length(), 2048):
+        return [i for i, ch in enumerate(bin(b)[:1:-1]) if ch == "1"]
     out = []
     while b:
         low = b & -b

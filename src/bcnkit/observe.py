@@ -8,15 +8,17 @@ observable exactly when from every Theta pair some control sequence reaches
 Xi; a shortest such sequence is a distinguishing witness.  `_search` finds
 every distance and every witness step in one breadth-first search backward
 from Xi, skipping any control whose state map is the identity, and keeps
-them in flat per-pair arrays: `_walk` follows them from one pair, and
-`render_report` writes every witness from them.  `dense_verdict_row` is the
-paper's dense cross-check.  `check_size` refuses a pair space too large for
-memory before building it, and too many witness controls after.
+them in flat per-pair arrays, the steps only when witnesses are asked
+for: `_walk` follows them from one pair, and `render_report` writes every
+witness from them.  `dense_verdict_row` is the paper's dense cross-check.
+`check_size` refuses a pair space too large for memory before building
+it, and too many witness controls after.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from typing import Sequence
 
 from .boolmat import BooleanMatrix
 from .compiler import AlgebraicForm, SizeLimitError, check_size
@@ -74,18 +76,20 @@ def partition_pairs(form: AlgebraicForm) -> PairPartition:
 
 #: Per-control successor maps on the pair space, kept as index arrays
 #: (never dense 2^(2n) x 2^(2n) bits): item j-1 maps the 0-based pair
-#: w-1 to the 1-based pair reached from pair w under control j.
-PairMaps = tuple[tuple[int, ...], ...]
+#: w-1 to the 1-based pair reached from pair w under control j.  The
+#: identity map is a `range`, never built.
+PairMaps = tuple[Sequence[int], ...]
 
 
 def extended_system(form: AlgebraicForm) -> PairMaps:
     """Pair each control's successor slice of L with itself: control j
     sends (z, x) to (L_j z, L_j x), enumerated directly.  Controls with the
-    same state map share one pair map.  Refuses a model whose pair space
-    would not fit in `compiler.MAX_BYTES`, before any of it is built."""
+    same state map share one pair map, and the identity's is
+    `range(1, 4^n + 1)`.  Refuses a model whose pair space would not fit
+    in `compiler.MAX_BYTES`, before any of it is built."""
     check_size(form.n, form.m, form.p, ("pairs",))
     nn = form.state_count
-    built: dict[tuple[int, ...], tuple[int, ...]] = {}
+    built: dict[tuple[int, ...], Sequence[int]] = {tuple(range(1, nn + 1)): range(1, nn * nn + 1)}
     maps = []
     for succ in map(form.successors, range(1, form.control_count + 1)):
         if succ not in built:
@@ -129,7 +133,7 @@ class ObservabilityReport(Record):
         return tuple(_walk(self.dist, self.via, self.toward, (z - 1) * nn + x - 1) for z, x in self.theta)
 
 
-def _search(ext: PairMaps, part: PairPartition):
+def _search(ext: PairMaps, part: PairPartition, witnesses: bool):
     """One breadth-first search backward from Xi over the z < x pairs (the
     copies' swap maps the pair graph onto itself), under the first control
     of each distinct state map, tried in ascending order: a pair is first
@@ -138,23 +142,25 @@ def _search(ext: PairMaps, part: PairPartition):
     the one place that step rule lives.  A control whose state map is the
     identity is skipped: each pair is its own preimage under it, already
     reached.  Returns dist, item z*2^n + x (0-based, z < x) the pair's
-    distance to Xi, else -1; per reached pair w that control via[w] and
-    the pair toward[w] it leads to; and the reached pairs in ascending T."""
+    distance to Xi, else -1; with witnesses, per reached pair w that
+    control via[w] and the pair toward[w] it leads to (else both are
+    empty, never stored); and the reached pairs in ascending T."""
     nn = 1 << part.n
-    first: dict[tuple[int, ...], int] = {}
+    first: dict[Sequence[int], int] = {}
     for j, mp in enumerate(ext, start=1):
         first.setdefault(mp, j)  # dict.fromkeys(ext), with each map's first control
-    identity = tuple(range(1, nn * nn + 1, nn + 1))  # the identity map's diagonal
+    identity = [*range(1, nn * nn + 1, nn + 1)]  # the identity map's diagonal
     preimages = []
     for mp, j in first.items():
         diag = mp[::nn + 1]  # diag[a] = pair_index(s, s), s = L_j a
-        if diag == identity:
+        if [*diag] == identity:  # a range or a tuple
             continue
         pre: list[list[int]] = [[] for _ in range(nn)]
         for a, w in enumerate(diag):
             pre[(w - 1) // (nn + 1)].append(a)
         preimages.append((j, pre))
-    via, toward, order = [0] * (nn * nn), [0] * (nn * nn), []
+    via, toward = ([0] * (nn * nn), [0] * (nn * nn)) if witnesses else ([], [])
+    order = []
     dist = [-1] * (nn * nn)
     vs = [v for v in (w - 1 for w in part.xi) if v // nn < v % nn]
     for v in vs:
@@ -170,8 +176,9 @@ def _search(ext: PairMaps, part: PairPartition):
                         w = a * nn + b if a < b else b * nn + a
                         if dist[w] < 0:
                             dist[w] = d
-                            via[w] = j
-                            toward[w] = v
+                            if witnesses:
+                                via[w] = j
+                                toward[w] = v
                             order.append(w)
                             az.append(a)
                             ax.append(b)
@@ -200,7 +207,7 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
         raise ValueError("observability needs at least one output")
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     part = partition_pairs(form)
-    dist, via, toward, order = _search(ext, part)
+    dist, via, toward, order = _search(ext, part, want_witnesses)
     nn = form.state_count
     ts = [dist[(z - 1) * nn + x - 1] for z, x in part.theta]
     flags = tuple([t > 0 for t in ts])
@@ -220,7 +227,7 @@ def distinguishing_witness(form: AlgebraicForm, z0: int, x0: int) -> tuple[tuple
         raise ValueError("witness requires two distinct initial states")
     pair_index(z0, x0, form.n)  # its IndexError, before any pair-space work
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
-    dist, via, toward, _ = _search(ext, partition_pairs(form))
+    dist, via, toward, _ = _search(ext, partition_pairs(form), True)
     return _walk(dist, via, toward, pair_index(min(z0, x0), max(z0, x0), form.n) - 1)
 
 

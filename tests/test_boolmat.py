@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcnkit.boolmat import BooleanMatrix, LogicalMatrix, ShapeError
+from bcnkit.boolmat import BooleanMatrix, LogicalMatrix, ShapeError, _support
 
 
 def bm(rows):
@@ -147,7 +147,15 @@ def naive_mul(a, b):
 def left_factors(draw, max_dim=12):
     """Left operands with the row supports the gather plan treats apart:
     any bits, at most one bit per row, some all-zero rows, one full row
-    among sparse rows; shapes include 1 x k and k x 1."""
+    among sparse rows; shapes include 1 x k and k x 1.  A square matrix
+    ORed with the identity, as the closure's M + I, is planned without its
+    diagonal; identity(k), 1 x 1 included, leaves the plan no slot."""
+    if draw(st.integers(0, 4)) == 0:  # contains I
+        k = draw(st.integers(1, max_dim))
+        off = draw(st.sampled_from(["none", "one bit", "any"]))
+        picks = {"none": st.just(0), "one bit": st.sampled_from([0] + [1 << j for j in range(k)]),
+                 "any": st.integers(0, (1 << k) - 1)}[off]
+        return BooleanMatrix(k, k, [1 << i | draw(picks) for i in range(k)])
     shape = draw(st.sampled_from(["any", "one row", "one column"]))
     r = 1 if shape == "one row" else draw(st.integers(1, max_dim))
     c = 1 if shape == "one column" else draw(st.integers(1, max_dim))
@@ -164,6 +172,15 @@ def left_factors(draw, max_dim=12):
     return BooleanMatrix(r, c, bits)
 
 
+def planned_support(a):
+    """The longest row support the gather plan must walk: that of A - I
+    when A is square with an all-ones diagonal, else that of A."""
+    entries = [[a.get(i, j) for j in range(1, a.cols + 1)] for i in range(1, a.rows + 1)]
+    if a.rows == a.cols and all(entries[i][i] for i in range(a.rows)):
+        return max(sum(row) for row in entries) - 1
+    return max(sum(row) for row in entries)
+
+
 class TestProduct:
     @settings(max_examples=300)
     @given(st.data())
@@ -171,6 +188,7 @@ class TestProduct:
         a = data.draw(left_factors())
         b = data.draw(matrices(max_dim=12, rows=a.cols))
         assert a.mul(b) == naive_mul(a, b)
+        assert len(a._plan[0]) == planned_support(a)
 
     @pytest.mark.parametrize("a", [
         bm([[1, 0, 1, 1]]),
@@ -188,10 +206,19 @@ class TestProduct:
         BooleanMatrix(64, 64, [(1 << 64) - 1 if i == 17 else 1 << (i * 7 % 64) for i in range(64)]),
         # No set bit, so a plan with no slots, reused by every product.
         BooleanMatrix(4, 4, [0, 0, 0, 0]),
-        # The counter's M: every row has a support of 2, so the plan keeps the row order.
+        # The counter's M, equal to its M + I: every row has one bit off the
+        # diagonal, so the plan has one slot and keeps the row order.
         BooleanMatrix(16, 16, [1 << i | 1 << (i + 1) % 16 for i in range(16)]),
+        # The identity: nothing off the diagonal, so a plan with no slots.
+        BooleanMatrix.identity(5),
+        # The 16-cycle's M + I, built as the closure builds its step.
+        BooleanMatrix(16, 16, [1 << (i - 1) % 16 for i in range(16)]).add(BooleanMatrix.identity(16)),
+        # A full diagonal with 0, 2, 1, 3, 0 and 1 bits off it: the plan un-sorts.
+        bm([[1, 0, 0, 0, 0, 0], [1, 1, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1],
+            [1, 1, 0, 1, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 1, 1]]),
     ], ids=["1x4", "1x4-one-bit", "1x4-zero", "3x1", "3x1-one-bit", "full-row", "skewed",
-            "counter-H", "Jd-transposed", "sink-row", "4x4-zero", "counter-M"])
+            "counter-H", "Jd-transposed", "sink-row", "4x4-zero", "counter-M",
+            "identity-5", "cycle-16-plus-I", "diagonal-unsorted"])
     def test_edge_shapes(self, a):
         rng = random.Random(a.rows * 31 + a.cols)
         plan = None
@@ -200,6 +227,7 @@ class TestProduct:
             assert a.mul(b) == naive_mul(a, b)
             plan = plan or a._plan
             assert a._plan is plan
+        assert len(plan[0]) == planned_support(a)
 
     def test_one_left_factor_many_right_operands(self):
         rng = random.Random(5)
@@ -281,6 +309,20 @@ class TestConversions:
             for i in range(1, rows + 1):
                 for k in range(1, cols + 1):
                     assert m.get(i, k) == (i in columns[k - 1])
+
+    @pytest.mark.parametrize("width", [512, 4096])
+    def test_support_of_dense_rows(self, width):
+        # Rows from a few bits to every bit, on both sides of the switch from
+        # the bit loop to the binary text (a quarter of the row, or 512 bits).
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        rows = [full, full ^ 1, full >> 1, 1 << width - 1 | 1, 0, 1]
+        for share in (1, 2, 4, 8, 16, 64):
+            for _ in range(4):
+                k = min(width, width // share + rng.choice([-1, 0, 1]))
+                rows.append(sum(1 << j for j in rng.sample(range(width), k)))
+        for b in rows:
+            assert _support(b) == [j for j in range(width) if b >> j & 1]
 
     @pytest.mark.parametrize("rows,cols", SHAPES)
     def test_transpose(self, rows, cols):

@@ -120,6 +120,34 @@ class TestExtendedSystem:
         ext = extended_system(form)
         assert ext[0][pair_index(1, 2, 1) - 1] == pair_index(2, 1, 1)
 
+    def test_identity_map_is_a_range(self):
+        # The counter's u = 0 (control 2) holds every state: its pair map is
+        # the identity, left as a range, and the search reads it as it reads
+        # the tuple it stands for.
+        form = algebraic_form(parse_network(counter_text(3)))
+        part = partition_pairs(form)
+        ext = extended_system(form)
+        assert ext[1] == range(1, 65) and isinstance(ext[0], tuple)
+        built = (ext[0], tuple(ext[1]))
+        for witnesses in (False, True):
+            assert observe._search(ext, part, witnesses) == observe._search(built, part, witnesses)
+
+
+class TestSearch:
+    """`_search` stores its witness steps only when asked; its distances
+    and its order of reached pairs do not depend on it."""
+
+    def test_without_witnesses_stores_no_steps(self):
+        rng = random.Random(23)
+        forms = [algebraic_form(parse_network(counter_text(4)))]
+        for _ in range(40):
+            forms.append(algebraic_form(random_model(rng, rng.randint(1, 4), rng.randint(0, 2), rng.randint(1, 2))))
+        for form in forms:
+            ext, part = extended_system(form), partition_pairs(form)
+            dist, via, toward, order = observe._search(ext, part, True)
+            assert observe._search(ext, part, False) == (dist, [], [], order)
+            assert len(via) == len(toward) == len(dist)
+
 
 class TestSizeGuard:
     """The pair-space guard refuses a model before anything of pair-space
