@@ -8,15 +8,15 @@ Two representations:
   ``delta_m[i1,...,ir]`` form).
 
 All indices in the public API are 1-based.  Values are immutable; every
-operation returns a fresh matrix.
+operation returns a fresh matrix.  The paper's algebra that only the
+tests use (semi-tensor and Kronecker products) is in `bcnkit.paper`.
 
 Index lists and packed rows convert one way each.  `from_columns` builds
 a matrix from its columns, each a list of its 1-based rows: the one-step
-matrix, the indicator matrices of set families, a logical matrix and a
-transpose are all built so.  `_support` lists the set bits of a packed
-row, lowest first, for the transpose, the Kronecker product and the
-gather plan below: a loop over the bits of a sparse row, the binary text
-of a dense one.
+matrix, the indicator matrices of set families and a transpose are all
+built so.  `_support` lists the set bits of a packed row, lowest first,
+for the transpose, the gather plan below and `paper.kron`: a loop over
+the bits of a sparse row, the binary text of a dense one.
 
 A product A*B ORs together, for each row of A, the rows of B its set bits
 pick.  The first product with A on the left turns A into a gather plan
@@ -33,17 +33,14 @@ have one bit off the diagonal, a product skips the un-sort.
 
 Products and sums build their results with `BooleanMatrix._unchecked`,
 without re-checking that every row fits the column count: their rows are
-ORs of rows already in range.  The public constructors, `from_rows`,
-`from_columns`, `transpose` and `kron` keep the checks, since their rows
-or indices come from outside.
+ORs of rows already in range.  The constructor, `from_columns` and
+`transpose` keep the checks, since their rows or indices come from
+outside.
 """
-
 from __future__ import annotations
 
-from functools import reduce
-from math import lcm
+from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Sequence
 
 from .record import Record
 
@@ -87,24 +84,6 @@ class BooleanMatrix:
         return self
 
     @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[int]]) -> "BooleanMatrix":
-        rows = len(entries)
-        if rows == 0:
-            raise ShapeError("matrix dimensions must be positive")
-        cols = len(entries[0])
-        if any(len(r) != cols for r in entries):
-            raise ShapeError("ragged rows")
-        bits = []
-        for r in entries:
-            acc = 0
-            for j, v in enumerate(r):
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} is not a bit")
-                acc |= v << j
-            bits.append(acc)
-        return cls(rows, cols, bits)
-
-    @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Iterable[int]]) -> "BooleanMatrix":
         """rows x len(columns), with a 1 at (i, k) for each 1-based row i
         that column k lists; a row listed twice is set once."""
@@ -119,41 +98,16 @@ class BooleanMatrix:
     def identity(cls, n: int) -> "BooleanMatrix":
         return cls(n, n, (1 << i for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BooleanMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "BooleanMatrix":
-        full = (1 << cols) - 1
-        return cls(rows, cols, (full,) * rows)
-
-    @classmethod
-    def basis_column(cls, n: int, i: int) -> "BooleanMatrix":
-        """The column vector delta_n^i."""
-        if not 1 <= i <= n:
-            raise IndexError(f"basis index {i} out of 1..{n}")
-        return cls(n, 1, (1 if k == i - 1 else 0 for k in range(n)))
-
-    # -- element access -----------------------------------------------
+    # -- element access and comparisons ---------------------------------
 
     def get(self, i: int, j: int) -> int:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise IndexError(f"({i},{j}) outside {self.rows}x{self.cols}")
         return (self._bits[i - 1] >> (j - 1)) & 1
 
-    def column_support(self, j: int) -> tuple[int, ...]:
-        """1-based row indices of the 1-entries in column j."""
-        if not 1 <= j <= self.cols:
-            raise IndexError(f"column {j} outside 1..{self.cols}")
-        m = 1 << (j - 1)
-        return tuple(i + 1 for i in range(self.rows) if self._bits[i] & m)
-
     def is_all_ones(self) -> bool:
         full = (1 << self.cols) - 1
         return all(b == full for b in self._bits)
-
-    # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BooleanMatrix):
@@ -162,12 +116,6 @@ class BooleanMatrix:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self._bits))
-
-    def __le__(self, other: "BooleanMatrix") -> bool:
-        """Entrywise <= for same-shaped matrices."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in entrywise comparison")
-        return all(a & ~b == 0 for a, b in zip(self._bits, other._bits))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -240,22 +188,6 @@ class BooleanMatrix:
         self._plan = tuple(slots), unsort, plus
         return self._plan
 
-    def kron(self, other: "BooleanMatrix") -> "BooleanMatrix":
-        """Kronecker product over the Boolean semiring."""
-        out = []
-        for a in self._bits:
-            shifts = [j * other.cols for j in _support(a)]
-            out.extend(reduce(or_, [b << s for s in shifts], 0) for b in other._bits)
-        return BooleanMatrix(self.rows * other.rows, self.cols * other.cols, out)
-
-    def stp(self, other: "BooleanMatrix") -> "BooleanMatrix":
-        """Semi-tensor product: Kronecker-pad both operands to the lcm of
-        the inner dimensions, then multiply conventionally."""
-        t = lcm(self.cols, other.rows)
-        left = self if t == self.cols else self.kron(BooleanMatrix.identity(t // self.cols))
-        right = other if t == other.rows else other.kron(BooleanMatrix.identity(t // other.rows))
-        return left.mul(right)
-
     def transpose(self) -> "BooleanMatrix":
         """Row i of self, as a list of 1-based columns, is column i."""
         return BooleanMatrix.from_columns(self.cols, [[j + 1 for j in _support(b)] for b in self._bits])
@@ -315,18 +247,11 @@ class LogicalMatrix(Record):
     def cols(self) -> int:
         return len(self.col_index)
 
-    def column(self, k: int) -> int:
-        if not 1 <= k <= self.cols:
-            raise IndexError(f"column {k} outside 1..{self.cols}")
-        return self.col_index[k - 1]
-
-    def to_boolean(self) -> BooleanMatrix:
-        return BooleanMatrix.from_columns(self.rows, [(c,) for c in self.col_index])
-
     def mul(self, other: BooleanMatrix) -> BooleanMatrix:
         """The Boolean product with a dense right operand, equal to
-        `self.to_boolean().mul(other)`: row i ORs the rows of other at the
-        columns k whose index is i, so rows no column names stay zero."""
+        `paper.to_boolean(self).mul(other)`: row i ORs the rows of other
+        at the columns k whose index is i, so rows no column names stay
+        zero."""
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"

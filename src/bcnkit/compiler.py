@@ -20,7 +20,7 @@ but not the operator semantics: each maps every operator to its own code.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .boolmat import LogicalMatrix
 from .netlang import And, Const, Expr, Iff, Implies, NetworkModel, Not, Or, Var, Xor, postorder

@@ -19,7 +19,7 @@ states only.  Operator precedence, tightest first:
 from __future__ import annotations
 
 import re
-from typing import Iterator, Mapping, Union
+from collections.abc import Iterator, Mapping
 
 from .record import Record
 
@@ -84,7 +84,7 @@ class Iff(Record):
     right: "Expr"
 
 
-Expr = Union[Const, Var, Not, And, Or, Xor, Implies, Iff]
+Expr = Const | Var | Not | And | Or | Xor | Implies | Iff
 
 #: The binary operators: token -> (node class, level, right-associative).
 #: A higher level binds tighter, and ``!`` binds tighter than every level

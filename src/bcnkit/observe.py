@@ -10,15 +10,15 @@ every distance and every witness step in one breadth-first search backward
 from Xi, skipping any control whose state map is the identity, and keeps
 them in flat per-pair arrays, the steps only when witnesses are asked
 for: `_walk` follows them from one pair, and `render_report` writes every
-witness from them.  `dense_verdict_row` is the paper's dense cross-check.
+witness from them.  The dense cross-check is `paper.dense_verdict_row`.
 `check_size` refuses a pair space too large for memory before building
 it, and too many witness controls after.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import repeat
-from typing import Sequence
 
 from .boolmat import BooleanMatrix
 from .compiler import AlgebraicForm, SizeLimitError, check_size
@@ -36,26 +36,12 @@ class PairPartition(Record):
     """Theta / Xi split of the 2^(2n) joint indices; the diagonal D is the
     rest.  theta holds only the z < x representatives, in ascending
     pair-index order; xi holds both orientations.  The verdict reads only
-    these two, so `diagonal` and `theta_ordered` are built on demand."""
+    these two; `paper` builds D and Theta's pair indices for the tests."""
 
     __slots__ = ("n", "theta", "xi")
     n: int
     theta: tuple[tuple[int, int], ...]
     xi: frozenset[int]
-
-    @property
-    def theta_indices(self) -> tuple[int, ...]:
-        return tuple(pair_index(z, x, self.n) for z, x in self.theta)
-
-    @property
-    def theta_ordered(self) -> frozenset[int]:
-        n = self.n
-        return frozenset(pair_index(a, b, n) for z, x in self.theta for a, b in ((z, x), (x, z)))
-
-    @property
-    def diagonal(self) -> frozenset[int]:
-        nn = 1 << self.n
-        return frozenset(range(1, nn * nn + 1, nn + 1))
 
 
 def partition_pairs(form: AlgebraicForm) -> PairPartition:
@@ -96,18 +82,6 @@ def extended_system(form: AlgebraicForm) -> PairMaps:
             built[succ] = tuple([base + sx for base in [(sz - 1) * nn for sz in succ] for sx in succ])
         maps.append(built[succ])
     return tuple(maps)
-
-
-def observability_setup(part: PairPartition) -> tuple[SetFamily, SetFamily]:
-    """Initial family: one singleton per Theta representative, in
-    representative order.  Destination family: the single set Xi (both
-    orientations)."""
-    from .reach import SetFamily, StateSet
-
-    universe = 1 << (2 * part.n)
-    p0 = SetFamily(universe, tuple(StateSet(universe, (w,)) for w in part.theta_indices))
-    pd = SetFamily(universe, (StateSet(universe, tuple(sorted(part.xi))),))
-    return p0, pd
 
 
 class ObservabilityReport(Record):
@@ -229,19 +203,6 @@ def distinguishing_witness(form: AlgebraicForm, z0: int, x0: int) -> tuple[tuple
     ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
     dist, via, toward, _ = _search(ext, partition_pairs(form), True)
     return _walk(dist, via, toward, pair_index(min(z0, x0), max(z0, x0), form.n) - 1)
-
-
-def dense_verdict_row(form: AlgebraicForm) -> BooleanMatrix:
-    """Cross-check engine: the 1 x |Theta| set-controllability row
-    Jd^T * C_ext * J0 computed with dense closure on the pair space.
-    Only viable for small pair spaces (2n <= 12)."""
-    from .reach import controllability_matrix, index_matrix, set_controllability_matrix
-
-    check_size(form.n, form.m, form.p, ("dense_row",))
-    m_ext = BooleanMatrix.from_columns(1 << (2 * form.n), list(zip(*extended_system(form))))
-    c_ext = controllability_matrix(m_ext)
-    p0, pd = observability_setup(partition_pairs(form))
-    return set_controllability_matrix(c_ext, index_matrix(p0), index_matrix(pd))
 
 
 def render_report(report: ObservabilityReport, cs_row: BooleanMatrix | None = None) -> str:

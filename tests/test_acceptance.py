@@ -5,12 +5,12 @@ are exact Boolean equality."""
 import random
 from time import perf_counter
 
+from bcnkit import paper
 from bcnkit.boolmat import BooleanMatrix, LogicalMatrix
 from bcnkit.compiler import algebraic_form
 from bcnkit.observe import (
     distinguishing_witness,
     extended_system,
-    observability_setup,
     observability_verdict,
     partition_pairs,
 )
@@ -27,7 +27,7 @@ from bcnkit.reach import (
 
 from conftest import load_model
 
-REFERENCE_C = BooleanMatrix.from_rows(
+REFERENCE_C = paper.from_rows(
     [[1, 1, 1, 1],
      [1, 1, 1, 1],
      [0, 0, 1, 0],
@@ -74,10 +74,10 @@ def test_criterion_2_set_controllability():
         c = controllability_matrix(one_step_matrix(form))
         j0 = index_matrix(family(4, (1,), (2, 3, 4)))
         jd = index_matrix(family(4, (1, 2), (3, 4)))
-        assert set_controllability_matrix(c, j0, jd) == BooleanMatrix.ones(2, 2)
+        assert set_controllability_matrix(c, j0, jd) == paper.ones(2, 2)
         j0 = index_matrix(family(4, (1, 2, 3), (1, 4)))
         jd = index_matrix(family(4, (3,)))
-        assert set_controllability_matrix(c, j0, jd) == BooleanMatrix.from_rows([[1, 0]])
+        assert set_controllability_matrix(c, j0, jd) == paper.from_rows([[1, 0]])
 
     timed(2, "set controllability verdicts for both set pairs", 0.1, body)
 
@@ -87,7 +87,7 @@ def test_criterion_3_output_controllability():
         form = algebraic_form(load_model("toy.bcn"))
         c = controllability_matrix(one_step_matrix(form))
         cy = output_controllability_matrix(c, form)
-        assert cy == BooleanMatrix.ones(2, 4)
+        assert cy == paper.ones(2, 4)
         assert cy.is_all_ones()
 
     timed(3, "output controllability matrix is all ones", 0.1, body)
@@ -96,9 +96,9 @@ def test_criterion_3_output_controllability():
 def test_criterion_4_lac_compilation():
     def body():
         form = algebraic_form(load_model("lac_operon.bcn"))
-        assert form.L.column(1) == 8
-        assert form.L.column(33) == 1
-        assert form.L.column(49) == 3
+        assert paper.column(form.L, 1) == 8
+        assert paper.column(form.L, 33) == 1
+        assert paper.column(form.L, 49) == 3
         assert list(form.L.col_index) == LAC_L
 
     timed(4, "lac operon transition matrix matches the 64-column listing", 0.1, body)
@@ -113,8 +113,8 @@ def test_criterion_5_observability_case1():
             H=LogicalMatrix(8, (8, 6, 3, 6, 5, 6, 7, 6)),
         )
         part = partition_pairs(form)
-        assert part.theta_indices == (12, 14, 16, 30, 32, 48)
-        p0, _ = observability_setup(part)
+        assert paper.theta_indices(part) == (12, 14, 16, 30, 32, 48)
+        p0, _ = paper.observability_setup(part)
         assert [s.members for s in p0.sets] == [(12,), (14,), (16,), (30,), (32,), (48,)]
         report = observability_verdict(form)
         assert report.flags == (True,) * 6
@@ -133,7 +133,7 @@ def test_criterion_6_observability_case2():
             H=LogicalMatrix(4, (1, 1, 2, 2, 3, 3, 4, 4)),
         )
         part = partition_pairs(form)
-        assert part.theta_indices == (2, 20, 38, 56)
+        assert paper.theta_indices(part) == (2, 20, 38, 56)
         report = observability_verdict(form)
         assert report.flags == (False, True, False, True)
         assert not report.observable
@@ -176,16 +176,16 @@ def test_criterion_8_algebra_properties():
             b = rand_square(8)
             c = rand_square(8)
             # associativity / transpose reversal on mixed shapes
-            assert a.stp(b).stp(c) == a.stp(b.stp(c))
-            assert a.stp(b).transpose() == b.transpose().stp(a.transpose())
+            assert paper.stp(paper.stp(a, b), c) == paper.stp(a, paper.stp(b, c))
+            assert paper.stp(a, b).transpose() == paper.stp(b.transpose(), a.transpose())
             # distributivity needs two same-shaped summands
             b2 = BooleanMatrix(b.rows, b.cols, [rng.getrandbits(b.cols) for _ in range(b.rows)])
-            assert b.add(b2).stp(c) == b.stp(c).add(b2.stp(c))
-            assert c.stp(b.add(b2)) == c.stp(b).add(c.stp(b2))
+            assert paper.stp(b.add(b2), c) == paper.stp(b, c).add(paper.stp(b2, c))
+            assert paper.stp(c, b.add(b2)) == paper.stp(c, b).add(paper.stp(c, b2))
             # column-vector pseudo-commutation
             t = rng.randint(1, 8)
             x = BooleanMatrix(t, 1, [rng.getrandbits(1) for _ in range(t)])
-            assert x.stp(b) == BooleanMatrix.identity(t).kron(b).stp(x)
+            assert paper.stp(x, b) == paper.stp(paper.kron(BooleanMatrix.identity(t), b), x)
             # closure fixpoint equals the literal Boolean power sum
             acc = a
             power = a
@@ -206,7 +206,7 @@ def test_criterion_9_partition_and_symmetry():
                 model = random_model(rng, n, 0, rng.randint(1, 2))
                 part = partition_pairs(algebraic_form(model))
                 total = 1 << (2 * n)
-                d, th, xi = part.diagonal, part.theta_ordered, part.xi
+                d, th, xi = paper.diagonal(part), paper.theta_ordered(part), part.xi
                 assert len(d) + len(th) + len(xi) == total
                 assert d | th | xi == frozenset(range(1, total + 1))
                 assert not (d & th) and not (d & xi) and not (th & xi)
@@ -222,7 +222,7 @@ def test_criterion_9_partition_and_symmetry():
         # diagonal absorption along 1000 random extended trajectories
         form = algebraic_form(load_model("lac_case1.bcn"))
         ext = extended_system(form)
-        diag = partition_pairs(form).diagonal
+        diag = paper.diagonal(partition_pairs(form))
         diag_list = sorted(diag)
         for _ in range(1000):
             w = rng.choice(diag_list)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bcnkit import netlang, observe, oracle
+from bcnkit import netlang, observe, oracle, paper
 from bcnkit.boolmat import LogicalMatrix
 from bcnkit.compiler import (
     SizeLimitError,
@@ -56,8 +56,8 @@ class TestCodec:
         for bits in [(1, 0, 1), (0, 1), (1,), (0, 0, 0)]:
             vec = BooleanMatrix.identity(1)
             for b in bits:
-                vec = vec.stp(BooleanMatrix.basis_column(2, 1 if b else 2))
-            assert vec.column_support(1) == (encode_state(bits),)
+                vec = paper.stp(vec, paper.basis_column(2, 1 if b else 2))
+            assert paper.column_support(vec, 1) == (encode_state(bits),)
 
 
 class TestStructureMatrix:
@@ -107,15 +107,15 @@ class TestStructureMatrix:
 
         e = parse_expr("(x1 -> x2) ^ x3")
         variables = ["x1", "x2", "x3"]
-        mf = structure_matrix(e, variables).to_boolean()
+        mf = paper.to_boolean(structure_matrix(e, variables))
         for a in range(1, 9):
             bits = decode_state(a, 3)
             arg = BooleanMatrix.identity(1)
             for b in bits:
-                arg = arg.stp(BooleanMatrix.basis_column(2, 1 if b else 2))
-            val = mf.stp(arg)
+                arg = paper.stp(arg, paper.basis_column(2, 1 if b else 2))
+            val = paper.stp(mf, arg)
             expect = eval_expr(e, dict(zip(variables, bits)))
-            assert val.column_support(1) == (1 if expect else 2,)
+            assert paper.column_support(val, 1) == (1 if expect else 2,)
 
 
 class TestAlgebraicForm:
@@ -124,9 +124,9 @@ class TestAlgebraicForm:
 
     def test_lac_transition_matrix(self, lac_case1_form):
         assert list(lac_case1_form.L.col_index) == LAC_L
-        assert lac_case1_form.L.column(1) == 8
-        assert lac_case1_form.L.column(33) == 1
-        assert lac_case1_form.L.column(49) == 3
+        assert paper.column(lac_case1_form.L, 1) == 8
+        assert paper.column(lac_case1_form.L, 33) == 1
+        assert paper.column(lac_case1_form.L, 49) == 3
 
     def test_single_state_autonomous(self):
         form = algebraic_form(parse_network("network a\nstates: x1\nx1' = !x1\n"))
@@ -216,17 +216,15 @@ class TestSimulationEquivalence:
 
     @pytest.mark.parametrize("src", SOURCES)
     def test_exhaustive_agreement(self, src):
-        from bcnkit.boolmat import BooleanMatrix
-
         model = parse_network(src)
         form = algebraic_form(model)
-        l_dense = form.L.to_boolean()
+        l_dense = paper.to_boolean(form.L)
         for j in range(1, (1 << model.m) + 1):
-            u = BooleanMatrix.basis_column(1 << model.m, j)
+            u = paper.basis_column(1 << model.m, j)
             for a in range(1, (1 << model.n) + 1):
-                x = BooleanMatrix.basis_column(1 << model.n, a)
-                nxt = l_dense.stp(u).stp(x)
-                assert nxt.column_support(1) == (_simulate(model, j, a),)
+                x = paper.basis_column(1 << model.n, a)
+                nxt = paper.stp(paper.stp(l_dense, u), x)
+                assert paper.column_support(nxt, 1) == (_simulate(model, j, a),)
                 assert form.successors(j)[a - 1] == _simulate(model, j, a)
 
 

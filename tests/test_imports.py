@@ -74,6 +74,8 @@ RUNS = {
 }
 COMMANDS = {
     **RUNS,
+    "controllability --emit-matrices": (["controllability", TOY, "--emit-matrices"], REACH_SET),
+    "set-controllability --emit-matrices": (["set-controllability", TOY, *SETS, "--emit-matrices"], REACH_SET),
     "observability --witness --emit-matrices": (["observability", TOY, "--witness", "--emit-matrices"],
                                                 OBSERVE_SET),
     **{f"{name} --oracle": ([*argv, "--oracle"], loaded | {"bcnkit.oracle"})
@@ -106,5 +108,5 @@ def test_command_loads_only_its_modules(argv, expected):
     assert {m for m in added if m.split(".")[0] == "bcnkit"} == expected
     assert ("json" in added) == (argv[0] == "set-controllability")
     # The command line is read without argparse, which with gettext costs
-    # every run about 2-3 ms to import.
-    assert not {"argparse", "gettext"} & set(added)
+    # every run about 2-3 ms to import, and annotations need no typing.
+    assert not {"argparse", "gettext", "typing"} & set(added)

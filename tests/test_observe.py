@@ -4,16 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from bcnkit import compiler, observe
+from bcnkit import compiler, observe, paper
 from bcnkit.boolmat import BooleanMatrix
 from bcnkit.cli import main
 from bcnkit.compiler import AlgebraicForm, SizeLimitError, algebraic_form
 from bcnkit.netlang import NetworkModel, parse_network
 from bcnkit.observe import (
-    dense_verdict_row,
     distinguishing_witness,
     extended_system,
-    observability_setup,
     observability_verdict,
     pair_index,
     partition_pairs,
@@ -59,12 +57,12 @@ class TestPairIndex:
 class TestPartition:
     def test_lac_case1_theta(self, lac_case1_form):
         part = partition_pairs(lac_case1_form)
-        assert part.theta_indices == (12, 14, 16, 30, 32, 48)
+        assert paper.theta_indices(part) == (12, 14, 16, 30, 32, 48)
         assert part.theta == ((2, 4), (2, 6), (2, 8), (4, 6), (4, 8), (6, 8))
 
     def test_lac_case2_theta_and_xi(self, lac_case2_form):
         part = partition_pairs(lac_case2_form)
-        assert part.theta_indices == (2, 20, 38, 56)
+        assert paper.theta_indices(part) == (2, 20, 38, 56)
         upper_xi = sorted(w for w in part.xi if (w - 1) // 8 < (w - 1) % 8)
         assert upper_xi == [3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16,
                             21, 22, 23, 24, 29, 30, 31, 32, 39, 40, 47, 48]
@@ -93,7 +91,7 @@ class TestPartition:
                 assert part.theta == tuple((z, x) for z, x in pairs if z < x and out[z - 1] == out[x - 1])
                 assert part.xi == {pair_index(z, x, n) for z, x in pairs if out[z - 1] != out[x - 1]}
                 total = 1 << (2 * n)
-                d, th, xi = part.diagonal, part.theta_ordered, part.xi
+                d, th, xi = paper.diagonal(part), paper.theta_ordered(part), part.xi
                 assert len(d) + len(th) + len(xi) == total
                 assert not (d & th) and not (d & xi) and not (th & xi)
                 assert d | th | xi == frozenset(range(1, total + 1))
@@ -112,8 +110,8 @@ class TestExtendedSystem:
         ext = extended_system(lac_case1_form)
         part = partition_pairs(lac_case1_form)
         for mp in ext:
-            for w in part.diagonal:
-                assert mp[w - 1] in part.diagonal
+            for w in paper.diagonal(part):
+                assert mp[w - 1] in paper.diagonal(part)
 
     def test_small_autonomous(self):
         form = algebraic_form(parse_network("network a\nstates: x1\nx1' = !x1\n"))
@@ -235,12 +233,12 @@ class TestSizeGuard:
 class TestSetup:
     def test_case1_initial_family(self, lac_case1_form):
         part = partition_pairs(lac_case1_form)
-        p0, pd = observability_setup(part)
+        p0, pd = paper.observability_setup(part)
         assert [s.members for s in p0.sets] == [(12,), (14,), (16,), (30,), (32,), (48,)]
         assert len(pd.sets) == 1 and pd.sets[0].members == tuple(sorted(part.xi))
 
     def test_case2_initial_family(self, lac_case2_form):
-        p0, _ = observability_setup(partition_pairs(lac_case2_form))
+        p0, _ = paper.observability_setup(partition_pairs(lac_case2_form))
         assert [s.members for s in p0.sets] == [(2,), (20,), (38,), (56,)]
 
 
@@ -276,7 +274,7 @@ class TestVerdict:
             report = observability_verdict(form)
             if not report.theta:
                 continue
-            row = dense_verdict_row(form)
+            row = paper.dense_verdict_row(form)
             assert tuple(row.get(1, k) == 1 for k in range(1, row.cols + 1)) == report.flags
 
     def test_three_engines_agree_above_n_3(self):
@@ -290,7 +288,7 @@ class TestVerdict:
             report = observability_verdict(form)
             assert dict(distinguish_oracle(model)) == dict(zip(report.theta, report.flags))
             if report.theta:
-                row = dense_verdict_row(form)
+                row = paper.dense_verdict_row(form)
                 assert tuple(row.get(1, k) == 1 for k in range(1, row.cols + 1)) == report.flags
 
     def test_orientation_symmetry(self):
@@ -309,10 +307,10 @@ class TestVerdict:
         ext = extended_system(form)
         part = partition_pairs(form)
         for _ in range(200):
-            w = rng.choice(sorted(part.diagonal))
+            w = rng.choice(sorted(paper.diagonal(part)))
             for _ in range(10):
                 w = ext[rng.randrange(len(ext))][w - 1]
-                assert w in part.diagonal
+                assert w in paper.diagonal(part)
 
 
 class TestWitness:
@@ -343,9 +341,9 @@ class TestWitness:
             controls, t = wit
             z, x = z0, x0
             for step, j in enumerate(controls):
-                assert form.H.column(z) == form.H.column(x), f"outputs differ early at {step}"
+                assert paper.column(form.H, z) == paper.column(form.H, x), f"outputs differ early at {step}"
                 z, x = form.successors(j)[z - 1], form.successors(j)[x - 1]
-            assert form.H.column(z) != form.H.column(x)
+            assert paper.column(form.H, z) != paper.column(form.H, x)
             assert t == len(controls)
 
     def test_verdict_agrees_with_single_pair_walks(self, monkeypatch):
@@ -372,7 +370,7 @@ class TestWitness:
 def _lands_in_xi(form, z, x, controls):
     for j in controls:
         z, x = form.successors(j)[z - 1], form.successors(j)[x - 1]
-    return form.H.column(z) != form.H.column(x)
+    return paper.column(form.H, z) != paper.column(form.H, x)
 
 
 def _with_idle_input(rng, model):
@@ -481,9 +479,9 @@ class TestWitnessChoice:
             assert t == len(controls)
             z, x = z0, x0
             for j in controls:
-                assert form.H.column(z) == form.H.column(x)
+                assert paper.column(form.H, z) == paper.column(form.H, x)
                 z, x = form.successors(j)[z - 1], form.successors(j)[x - 1]
-            assert form.H.column(z) != form.H.column(x)
+            assert paper.column(form.H, z) != paper.column(form.H, x)
 
 
 class TestRendering:

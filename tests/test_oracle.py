@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bcnkit import paper
 from bcnkit.boolmat import BooleanMatrix
 from bcnkit.compiler import algebraic_form
 from bcnkit.netlang import parse_network
@@ -16,7 +17,7 @@ from bcnkit.oracle import (
 )
 from bcnkit.reach import controllability_matrix, one_step_matrix
 
-TOY_C = BooleanMatrix.from_rows(
+TOY_C = paper.from_rows(
     [[1, 1, 1, 1],
      [1, 1, 1, 1],
      [0, 0, 1, 0],
@@ -49,7 +50,7 @@ class TestReachOracle:
 
     def test_pure_input(self):
         model = parse_network("network a\nstates: x1\ninputs: u1\nx1' = u1\n")
-        assert reach_oracle(model) == BooleanMatrix.ones(2, 2)
+        assert reach_oracle(model) == paper.ones(2, 2)
 
     def test_size_limit(self):
         states = ", ".join(f"x{i}" for i in range(1, 14))

@@ -12,7 +12,7 @@ SOURCES = sorted(Path(bcnkit.__file__).resolve().parent.glob("*.py"))
 
 
 def test_sources_found():
-    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "observe.py", "record.py"}
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "observe.py", "paper.py", "record.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
