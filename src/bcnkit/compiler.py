@@ -67,7 +67,10 @@ def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
     of the estimate.  Long witnesses grow the text with their total
     length, 8^n on the n-bit counter: at n = 9 the two peak at 130 MB
     against 278 MB.  At n = 1 the peak is 1.5-1.6 KB, up to 368 bytes past
-    the other terms on 300 seeded random models with m = 0-3, p = 1-2."""
+    the other terms on 300 seeded random models with m = 0-3, p = 1-2.
+    The 80 * 2^m term was fitted when the verdict held pair maps; now it
+    over-estimates: at n = 9, m = 3 five seeded random models peak at
+    13-22 MiB (59-101 MiB with pair maps), against an estimate of 225 MB."""
     return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps + 512
 
 
@@ -214,9 +217,9 @@ class AlgebraicForm(Record):
     """x(t+1) = L u(t) x(t), y(t) = H x(t) in vector form.
 
     L has 2^n rows and 2^(n+m) columns in one block of 2^n per control:
-    `successors` is the only reader of that layout.  H has 2^p rows and
-    2^n columns; when the model has no outputs (p = 0), H is the
-    all-ones 1 x 2^n logical matrix.
+    `successors` alone reads that layout, and `state_maps` alone groups
+    controls by block.  H has 2^p rows and 2^n columns; when the model has
+    no outputs (p = 0), H is the all-ones 1 x 2^n logical matrix.
     """
 
     __slots__ = ("n", "m", "p", "L", "H")
@@ -239,6 +242,15 @@ class AlgebraicForm(Record):
         indices throughout): item a-1 is the successor of state a."""
         nn = self.state_count
         return self.L.col_index[(j - 1) * nn:j * nn]
+
+    def state_maps(self) -> dict[tuple[int, ...], int]:
+        """Each distinct state map `successors(j)`, in control order, to the
+        first control j that has it.  Controls with one map act alike, and
+        the first stands for them: it is the control a witness step names."""
+        maps: dict[tuple[int, ...], int] = {}
+        for j in range(1, self.control_count + 1):
+            maps.setdefault(self.successors(j), j)
+        return maps
 
 
 def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> AlgebraicForm:

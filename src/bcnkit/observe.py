@@ -5,9 +5,11 @@ joint state (z, x) is one index in 1..2^(2n).  Pairs split into the
 diagonal D, the same-output class Theta and the differing-output class Xi;
 `partition_pairs` builds Theta and Xi per output class.  The network is
 observable exactly when from every Theta pair some control sequence reaches
-Xi; a shortest such sequence is a distinguishing witness.  `_search` finds
-every distance and every witness step in one breadth-first search backward
-from Xi, skipping any control whose state map is the identity, and keeps
+Xi; a shortest such sequence is a distinguishing witness.  The paired
+system is read off the 2^n-long state maps: `extended_system` lists each
+distinct one but the identity with its first control, and builds no pair
+map.  `_search` finds every distance and every witness step in one
+breadth-first search backward from Xi under those controls, and keeps
 them in flat per-pair arrays, the steps only when witnesses are asked
 for: `_walk` follows them from one pair, and `render_report` writes every
 witness from them.  The dense cross-check is `paper.dense_verdict_row`.
@@ -17,7 +19,6 @@ it, and too many witness controls after.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import repeat
 
 from .boolmat import BooleanMatrix
@@ -60,28 +61,15 @@ def partition_pairs(form: AlgebraicForm) -> PairPartition:
     return PairPartition(n=form.n, theta=tuple(theta), xi=frozenset(xi))
 
 
-#: Per-control successor maps on the pair space, kept as index arrays
-#: (never dense 2^(2n) x 2^(2n) bits): item j-1 maps the 0-based pair
-#: w-1 to the 1-based pair reached from pair w under control j.  The
-#: identity map is a `range`, never built.
-PairMaps = tuple[Sequence[int], ...]
-
-
-def extended_system(form: AlgebraicForm) -> PairMaps:
-    """Pair each control's successor slice of L with itself: control j
-    sends (z, x) to (L_j z, L_j x), enumerated directly.  Controls with the
-    same state map share one pair map, and the identity's is
-    `range(1, 4^n + 1)`.  Refuses a model whose pair space would not fit
-    in `compiler.MAX_BYTES`, before any of it is built."""
+def extended_system(form: AlgebraicForm) -> list[tuple[int, tuple[int, ...]]]:
+    """The paired system, control j sending (z, x) to (L_j z, L_j x), as
+    (j, L_j) per distinct state map in `form.state_maps` order, j its first
+    control.  The identity is left out: it sends every pair to itself.
+    Refuses a model whose pair space would not fit in `compiler.MAX_BYTES`,
+    before any of it is built."""
     check_size(form.n, form.m, form.p, ("pairs",))
-    nn = form.state_count
-    built: dict[tuple[int, ...], Sequence[int]] = {tuple(range(1, nn + 1)): range(1, nn * nn + 1)}
-    maps = []
-    for succ in map(form.successors, range(1, form.control_count + 1)):
-        if succ not in built:
-            built[succ] = tuple([base + sx for base in [(sz - 1) * nn for sz in succ] for sx in succ])
-        maps.append(built[succ])
-    return tuple(maps)
+    identity = tuple(range(1, form.state_count + 1))
+    return [(j, succ) for succ, j in form.state_maps().items() if succ != identity]
 
 
 class ObservabilityReport(Record):
@@ -107,31 +95,22 @@ class ObservabilityReport(Record):
         return tuple(_walk(self.dist, self.via, self.toward, (z - 1) * nn + x - 1) for z, x in self.theta)
 
 
-def _search(ext: PairMaps, part: PairPartition, witnesses: bool):
+def _search(ext: list[tuple[int, tuple[int, ...]]], part: PairPartition, witnesses: bool):
     """One breadth-first search backward from Xi over the z < x pairs (the
-    copies' swap maps the pair graph onto itself), under the first control
-    of each distinct state map, tried in ascending order: a pair is first
-    reached through the smallest control that brings it one step closer,
-    the step of the lexicographically smallest shortest witness.  This is
-    the one place that step rule lives.  A control whose state map is the
-    identity is skipped: each pair is its own preimage under it, already
-    reached.  Returns dist, item z*2^n + x (0-based, z < x) the pair's
-    distance to Xi, else -1; with witnesses, per reached pair w that
-    control via[w] and the pair toward[w] it leads to (else both are
-    empty, never stored); and the reached pairs in ascending T."""
+    copies' swap maps the pair graph onto itself), under the controls of
+    `extended_system`, tried in ascending order: a pair is first reached
+    through the smallest control that brings it one step closer, the step
+    of the lexicographically smallest shortest witness.  This is the one
+    place that step rule lives.  Returns dist, item z*2^n + x (0-based,
+    z < x) the pair's distance to Xi, else -1; with witnesses, per reached
+    pair w that control via[w] and the pair toward[w] it leads to (else
+    both are empty, never stored); and the reached pairs in ascending T."""
     nn = 1 << part.n
-    first: dict[Sequence[int], int] = {}
-    for j, mp in enumerate(ext, start=1):
-        first.setdefault(mp, j)  # dict.fromkeys(ext), with each map's first control
-    identity = [*range(1, nn * nn + 1, nn + 1)]  # the identity map's diagonal
     preimages = []
-    for mp, j in first.items():
-        diag = mp[::nn + 1]  # diag[a] = pair_index(s, s), s = L_j a
-        if [*diag] == identity:  # a range or a tuple
-            continue
+    for j, succ in ext:
         pre: list[list[int]] = [[] for _ in range(nn)]
-        for a, w in enumerate(diag):
-            pre[(w - 1) // (nn + 1)].append(a)
+        for a, s in enumerate(succ):
+            pre[s - 1].append(a)
         preimages.append((j, pre))
     via, toward = ([0] * (nn * nn), [0] * (nn * nn)) if witnesses else ([], [])
     order = []

@@ -103,12 +103,20 @@ def observability_setup(part: observe.PairPartition) -> tuple[reach.SetFamily, r
     return p0, pd
 
 
+def pair_maps(form: compiler.AlgebraicForm) -> tuple[tuple[int, ...], ...]:
+    """The paired system per control, as 4^n-long index arrays: item j-1
+    maps the 0-based pair w-1, w = pair_index(z, x), to pair_index(L_j z, L_j x)."""
+    nn = form.state_count
+    return tuple(tuple([(sz - 1) * nn + sx for sz in succ for sx in succ])
+                 for succ in map(form.successors, range(1, form.control_count + 1)))
+
+
 def dense_verdict_row(form: compiler.AlgebraicForm) -> BooleanMatrix:
     """The 1 x |Theta| row Jd^T * C_ext * J0, J0 the Theta singletons and
     Jd = Xi, from the paired system's dense closure: entry k is 1 when
     representative k is distinguishable.  Only viable for 2n <= 12."""
     compiler.check_size(form.n, form.m, form.p, ("dense_row",))
-    m_ext = BooleanMatrix.from_columns(1 << (2 * form.n), list(zip(*observe.extended_system(form))))
+    m_ext = BooleanMatrix.from_columns(1 << (2 * form.n), list(zip(*pair_maps(form))))
     c_ext = reach.controllability_matrix(m_ext)
     p0, pd = observability_setup(observe.partition_pairs(form))
     return reach.set_controllability_matrix(c_ext, reach.index_matrix(p0), reach.index_matrix(pd))

@@ -58,9 +58,8 @@ class SetFamily(Record):
 
 
 def one_step_matrix(form: AlgebraicForm) -> BooleanMatrix:
-    """Boolean OR of the per-control column blocks of L."""
-    maps = map(form.successors, range(1, form.control_count + 1))
-    return BooleanMatrix.from_columns(form.state_count, list(zip(*maps)))
+    """Boolean OR of the column blocks of L, one per distinct state map."""
+    return BooleanMatrix.from_columns(form.state_count, list(zip(*form.state_maps())))
 
 
 def controllability_matrix(m: BooleanMatrix) -> BooleanMatrix:

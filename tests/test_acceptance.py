@@ -10,7 +10,6 @@ from bcnkit.boolmat import BooleanMatrix, LogicalMatrix
 from bcnkit.compiler import algebraic_form
 from bcnkit.observe import (
     distinguishing_witness,
-    extended_system,
     observability_verdict,
     partition_pairs,
 )
@@ -221,7 +220,7 @@ def test_criterion_9_partition_and_symmetry():
                 assert (a is None) == (b is None)
         # diagonal absorption along 1000 random extended trajectories
         form = algebraic_form(load_model("lac_case1.bcn"))
-        ext = extended_system(form)
+        ext = paper.pair_maps(form)
         diag = paper.diagonal(partition_pairs(form))
         diag_list = sorted(diag)
         for _ in range(1000):

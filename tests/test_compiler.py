@@ -13,6 +13,7 @@ from bcnkit.compiler import (
     structure_matrix,
 )
 from bcnkit.netlang import And, NetworkModel, Not, Var, eval_expr, parse_expr, parse_network
+from conftest import counter_text
 
 # Transcription of the lac-operon transition matrix (64 column indices):
 # the first four control blocks force the all-off state, the rest follow
@@ -193,6 +194,38 @@ class TestAlgebraicForm:
         out = render_algebraic(toy_form)
         assert out.startswith("n=2 m=2 p=1\n")
         assert "delta 4 [" in out and "delta 2 [" in out
+
+
+class TestStateMaps:
+    """`state_maps` is the one place that groups controls by state map:
+    each distinct `successors(j)`, in order of first appearance, goes to
+    the smallest control that has it, the identity included."""
+
+    @staticmethod
+    def _expected(form):
+        succs = [form.successors(j) for j in range(1, form.control_count + 1)]
+        return [(s, k + 1) for k, s in enumerate(succs) if succs.index(s) == k]
+
+    def test_counters(self):
+        for n in range(1, 6):
+            form = algebraic_form(parse_network(counter_text(n)))
+            assert list(form.state_maps().items()) == self._expected(form)
+            assert list(form.state_maps().values()) == [1, 2]
+            assert form.successors(2) == tuple(range(1, (1 << n) + 1))  # u = 0 holds every state
+
+    def test_random_models(self):
+        rng = random.Random(2718)
+        for k in range(80):
+            form = algebraic_form(oracle.random_model(rng, rng.randint(1, 4), k % 4, rng.randint(0, 2)))
+            assert list(form.state_maps().items()) == self._expected(form), k
+
+    def test_ignored_input_repeats_maps(self):
+        # u2 appears in no rule, so controls 1 and 2 (and 3 and 4) share a map.
+        form = algebraic_form(parse_network(
+            "network r\nstates: x1, x2\ninputs: u1, u2\nx1' = x2 & u1\nx2' = !x1\n"))
+        assert form.successors(1) == form.successors(2) != form.successors(3) == form.successors(4)
+        assert list(form.state_maps().items()) == self._expected(form)
+        assert list(form.state_maps().values()) == [1, 3]
 
 
 def _simulate(model, j, a):

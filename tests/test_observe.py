@@ -23,7 +23,7 @@ from conftest import counter_text
 
 
 def _memoise_per_form(monkeypatch):
-    """Compute the pair maps, the partition and the search once per form
+    """Compute the paired system, the partition and the search once per form
     object: each memo is keyed by the identity of the arguments, so a call
     hashes none of the 4^n-long tuples, and it keeps the arguments alive,
     so no identity is reused."""
@@ -101,13 +101,13 @@ class TestPartition:
 
 class TestExtendedSystem:
     def test_lac_coordinatewise(self, lac_case1_form):
-        ext = extended_system(lac_case1_form)
+        ext = paper.pair_maps(lac_case1_form)
         # control 5 sends states (2, 4) to (1, 5)
         w = pair_index(2, 4, 3)
         assert ext[4][w - 1] == pair_index(1, 5, 3)
 
     def test_diagonal_invariance(self, lac_case1_form):
-        ext = extended_system(lac_case1_form)
+        ext = paper.pair_maps(lac_case1_form)
         part = partition_pairs(lac_case1_form)
         for mp in ext:
             for w in paper.diagonal(part):
@@ -115,20 +115,20 @@ class TestExtendedSystem:
 
     def test_small_autonomous(self):
         form = algebraic_form(parse_network("network a\nstates: x1\nx1' = !x1\n"))
-        ext = extended_system(form)
+        ext = paper.pair_maps(form)
         assert ext[0][pair_index(1, 2, 1) - 1] == pair_index(2, 1, 1)
 
-    def test_identity_map_is_a_range(self):
-        # The counter's u = 0 (control 2) holds every state: its pair map is
-        # the identity, left as a range, and the search reads it as it reads
-        # the tuple it stands for.
+    def test_identity_map_is_left_out(self):
+        # The counter's u = 0 (control 2) holds every state: its map is the
+        # identity, which sends every pair to itself, so the paired system
+        # leaves it out, and the search reads the same with it put back.
         form = algebraic_form(parse_network(counter_text(3)))
         part = partition_pairs(form)
         ext = extended_system(form)
-        assert ext[1] == range(1, 65) and isinstance(ext[0], tuple)
-        built = (ext[0], tuple(ext[1]))
+        assert ext == [(1, form.successors(1))]
+        full = ext + [(2, form.successors(2))]
         for witnesses in (False, True):
-            assert observe._search(ext, part, witnesses) == observe._search(built, part, witnesses)
+            assert observe._search(ext, part, witnesses) == observe._search(full, part, witnesses)
 
 
 class TestSearch:
@@ -304,7 +304,7 @@ class TestVerdict:
     def test_diagonal_absorption_random_walks(self, lac_case1_form):
         rng = random.Random(31337)
         form = lac_case1_form
-        ext = extended_system(form)
+        ext = paper.pair_maps(form)
         part = partition_pairs(form)
         for _ in range(200):
             w = rng.choice(sorted(paper.diagonal(part)))
