@@ -9,7 +9,8 @@ stdout and exits 0; a usage error prints the usage line and an `error:`
 line, which quotes at most 24 characters of a word, to stderr and exits 2.
 
 Exit codes: 0 when the queried property holds, 1 when it does not,
-2 on usage, parse or size errors, oracle disagreement and internal faults.
+2 on usage, parse or size errors, oracle disagreement, internal faults and
+a failed write to stdout (a full disk or a closed pipe).
 `main` checks every size limit of a command with one `compiler.check_size`
 call before compiling, and each command runs its analysis and --oracle
 check before printing, so a refusal prints nothing.
@@ -23,6 +24,7 @@ module attribute is what runs.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -280,8 +282,23 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; a failed write to stdout exits 2 as well."""
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        status = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # so that a write fails here, not at shutdown
+    except OSError as exc:  # files are read under handlers of their own, so this is stdout
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # shutdown flushes it once more: into devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 2
+    return status
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        args = _parse(argv)
     except UsageError as exc:
         print(_usage(exc.args[0]), f"error: {exc.args[1]}", sep="\n", file=sys.stderr)
         return 2
@@ -302,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError covers compiler.SizeLimitError, the one size-limit error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError:
+        raise  # from stdout: `main` reports it
     except Exception as exc:
         # Last resort: an internal fault must exit 2, never 1, which
         # reads as "fails".

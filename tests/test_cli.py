@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -588,6 +591,35 @@ class TestExitContract:
         monkeypatch.setattr(observe, "observability_verdict", fault)
         code, out, err = run(capsys, command, MODELS / "toy.bcn")
         assert (code, out, err) == (2, "", "error: internal error: RuntimeError: engine fault\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    @pytest.mark.parametrize("argv", [["compile", "toy.bcn"], ["observability", "lac_case2.bcn", "--witness"]],
+                             ids=["compile", "witness"])
+    def test_failed_stdout_write_exits_2(self, argv, sink, unbuffered):
+        # A full disk and a pipe whose reader is gone refuse every write.
+        # Buffered, the write fails at the last flush; unbuffered, inside
+        # print.  Either way the run exits 2 with one `error:` line, and
+        # shutdown's own flush does not report the failure again.
+        src = str(Path(observe.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if sink == "full":
+            out = os.open("/dev/full", os.O_WRONLY)
+        else:
+            reader, out = os.pipe()
+            os.close(reader)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bcnkit.cli", *argv], stdout=out, stderr=subprocess.PIPE,
+                                  text=True, env=env, cwd=MODELS, timeout=60)
+        finally:
+            os.close(out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write output: "), proc.stderr
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 120, proc.stderr
 
     @pytest.mark.parametrize("flags", [[], ["--emit-matrices"], ["--oracle"]])
     def test_too_many_outputs_refused_before_closure(self, capsys, tmp_path, monkeypatch, flags):

@@ -127,24 +127,7 @@ class TestExtendedSystem:
         ext = extended_system(form)
         assert ext == [(1, form.successors(1))]
         full = ext + [(2, form.successors(2))]
-        for witnesses in (False, True):
-            assert observe._search(ext, part, witnesses) == observe._search(full, part, witnesses)
-
-
-class TestSearch:
-    """`_search` stores its witness steps only when asked; its distances
-    and its order of reached pairs do not depend on it."""
-
-    def test_without_witnesses_stores_no_steps(self):
-        rng = random.Random(23)
-        forms = [algebraic_form(parse_network(counter_text(4)))]
-        for _ in range(40):
-            forms.append(algebraic_form(random_model(rng, rng.randint(1, 4), rng.randint(0, 2), rng.randint(1, 2))))
-        for form in forms:
-            ext, part = extended_system(form), partition_pairs(form)
-            dist, via, toward, order = observe._search(ext, part, True)
-            assert observe._search(ext, part, False) == (dist, [], [], order)
-            assert len(via) == len(toward) == len(dist)
+        assert observe._search(ext, part) == observe._search(full, part)
 
 
 class TestSizeGuard:
@@ -229,6 +212,42 @@ class TestSizeGuard:
                 tracemalloc.stop()
             steps = sum(wit[1] for wit in report.witnesses if wit)
             assert peak <= compiler.pair_space_bytes(form.n, form.m, steps), (model.name, form.n, form.m)
+
+
+class TestClasses:
+    """The verdict's state classes against the pair search and the
+    brute-force oracle: a Theta flag says that the pair's states lie in two
+    classes, `_search` that it reaches Xi, the oracle that some replayed
+    control sequence separates the outputs."""
+
+    def test_three_engines_agree(self):
+        # Random models, whose maps merge states; the counters, whose one
+        # map is a cycle that splits one state off per round; a constant
+        # "reset" rule; n = 0 (one state) and a one-variable model whose
+        # only map is the identity, so no map refines anything.  The
+        # oracle's cost grows about 8x per bit: it stops at the 7-bit
+        # counter.
+        rng = random.Random(3016)
+        models = [random_model(rng, rng.randint(1, 7), rng.randint(0, 3), rng.randint(1, 2)) for _ in range(150)]
+        models += [random_model(rng, 0, m, 1) for m in (0, 2)]
+        models += [parse_network(counter_text(n)) for n in range(1, 10)]
+        models.append(parse_network("network reset\nstates: x1, x2, x3, x4\ninputs: u\noutputs: y\n"
+                                    "x1' = 0\nx2' = x1 ^ u\nx3' = x2 & x4\nx4' = x3 | u\ny = x2 ^ x4\n"))
+        models.append(parse_network("network held\nstates: x1\noutputs: y\nx1' = x1\ny = 0\n"))
+        checked = split = 0
+        for model in models:
+            form = algebraic_form(model)
+            nn = form.state_count
+            report = observability_verdict(form)
+            dist = observe._search(extended_system(form), partition_pairs(form))[0]
+            assert report.flags == tuple(dist[(z - 1) * nn + x - 1] > 0 for z, x in report.theta), model.name
+            assert report.observable == all(report.flags) == (len(set(report.classes)) == nn), model.name
+            if form.n <= 7:
+                assert dict(distinguish_oracle(model)) == dict(zip(report.theta, report.flags)), model.name
+            checked += len(report.theta)
+            split += len(set(report.classes)) - len(set(form.H.col_index))
+        assert checked > 10_000 and split > 1000
+
 
 class TestSetup:
     def test_case1_initial_family(self, lac_case1_form):
