@@ -10,10 +10,12 @@ line, which quotes at most 24 characters of a word, to stderr and exits 2.
 
 Exit codes: 0 when the queried property holds, 1 when it does not,
 2 on usage, parse or size errors, oracle disagreement, internal faults and
-a failed write to stdout (a full disk or a closed pipe).
-`main` checks every size limit of a command with one `compiler.check_size`
+a failed write to stdout (a full disk or a closed pipe).  `main` is the
+one error ladder: usage error, user error, stdout write, internal fault.
+It checks every size limit of a command with one `compiler.check_size`
 call before compiling, and each command runs its analysis and --oracle
-check before printing, so a refusal prints nothing.
+check before printing, so a refusal prints nothing.  `_reach_verdict` is
+the one verdict of the three reach commands.
 
 Every run pays for each module it imports, so only `compiler` and
 `netlang` load with this module: each command imports the engine it runs
@@ -50,12 +52,6 @@ def _load_model(path: str) -> netlang.NetworkModel:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _emit(*named) -> None:
-    for title, mat in named:
-        print(f"{title}:")
-        print(mat.to_text())
-
-
 def _oracle_status(agree: bool | None, status: int) -> int:
     """Print the oracle line if --oracle ran (agree is not None); a disagreement exits 2."""
     if agree is None:
@@ -81,64 +77,53 @@ def cmd_compile(args, model, form) -> int:
     return 0
 
 
-def cmd_controllability(args, model, form) -> int:
-    from . import reach
-    m = reach.one_step_matrix(form)
-    c = reach.controllability_matrix(m)
+def _reach_verdict(args, model, c, derive, prop: str, dumped, title: str) -> int:
+    """`prop` holds when derive(C) is all ones; --oracle derives it from the
+    oracle's closure too, and --emit-matrices dumps the (title, matrix)
+    pairs of `dumped`, then derive(C) under `title`."""
+    derived = derive(c)
     agree = None
     if args.oracle:
         from . import oracle
-        agree = oracle.reach_oracle(model) == c
-    holds = c.is_all_ones()
-    print("controllable" if holds else "not controllable")
+        agree = derive(oracle.reach_oracle(model)) == derived
+    holds = derived.is_all_ones()
+    print(prop if holds else f"not {prop}")
     if args.emit_matrices:
-        _emit(("M", m), ("C", c))
+        for name, mat in (*dumped, (title, derived)):
+            print(f"{name}:")
+            print(mat.to_text())
     return _oracle_status(agree, 0 if holds else 1)
+
+
+def cmd_controllability(args, model, form) -> int:
+    from . import reach
+    m = reach.one_step_matrix(form)
+    return _reach_verdict(args, model, reach.controllability_matrix(m), lambda c: c, "controllable", [("M", m)], "C")
 
 
 def cmd_set_controllability(args, model, form) -> int:
     from . import reach
     c = reach.controllability_matrix(reach.one_step_matrix(form))
     j0, jd = map(reach.index_matrix, args.families)
-    cs = reach.set_controllability_matrix(c, j0, jd)
-    agree = None
-    if args.oracle:
-        from . import oracle
-        agree = reach.set_controllability_matrix(oracle.reach_oracle(model), j0, jd) == cs
-    holds = cs.is_all_ones()
-    print("set controllable" if holds else "not set controllable")
-    if args.emit_matrices:
-        _emit(("C", c), ("J0", j0), ("Jd", jd), ("C_S", cs))
-    return _oracle_status(agree, 0 if holds else 1)
+    return _reach_verdict(args, model, c, lambda c: reach.set_controllability_matrix(c, j0, jd),
+                          "set controllable", [("C", c), ("J0", j0), ("Jd", jd)], "C_S")
 
 
 def cmd_output_controllability(args, model, form) -> int:
     from . import reach
     c = reach.controllability_matrix(reach.one_step_matrix(form))
-    cy = reach.output_controllability_matrix(c, form)
-    agree = None
-    if args.oracle:
-        from . import oracle
-        agree = reach.output_controllability_matrix(oracle.reach_oracle(model), form) == cy
-    holds = cy.is_all_ones()
-    print("output controllable" if holds else "not output controllable")
-    if args.emit_matrices:
-        _emit(("C", c), ("C_Y", cy))
-    return _oracle_status(agree, 0 if holds else 1)
+    return _reach_verdict(args, model, c, lambda c: reach.output_controllability_matrix(c, form),
+                          "output controllable", [("C", c)], "C_Y")
 
 
 def cmd_observability(args, model, form) -> int:
-    from . import boolmat, observe
+    from . import observe
     report = observe.observability_verdict(form, want_witnesses=args.witness)
     agree = None
     if args.oracle:
         from . import oracle
         agree = dict(oracle.distinguish_oracle(model)) == dict(zip(report.theta, report.flags))
-    cs_row = None
-    if args.emit_matrices and report.flags:
-        bits = sum(1 << k for k, f in enumerate(report.flags) if f)
-        cs_row = boolmat.BooleanMatrix(1, len(report.flags), [bits])
-    print(observe.render_report(report, cs_row))
+    print(observe.render_report(report, args.emit_matrices))
     return _oracle_status(agree, 0 if report.observable else 1)
 
 
@@ -282,10 +267,29 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line; a failed write to stdout exits 2 as well."""
+    """Run one command line; every refusal and fault ends in one stderr line and exit 2."""
     try:
-        status = _run(sys.argv[1:] if argv is None else argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        status = 0
+        if args is not None:
+            func, _, stages, oracle_stage, _ = COMMANDS[args.command]
+            flagged = {"emit": args.emit_matrices, oracle_stage: args.oracle}
+            model = _load_model(args.model)
+            if model.p == 0 and args.command in ("output-controllability", "observability"):
+                raise CliError(f"model declares no outputs; {args.command.replace('-', ' ')} is undefined")
+            compiler.check_size(model.n, model.m, model.p,
+                                ("compile", *stages, *(stage for stage, on in flagged.items() if on)), args.max_size)
+            if args.sets is not None:
+                args.families = _load_sets(args.sets, model.n)
+            status = func(args, model, compiler.algebraic_form(model, args.max_size))
         sys.stdout.flush()  # so that a write fails here, not at shutdown
+    except UsageError as exc:
+        print(_usage(exc.args[0]), f"error: {exc.args[1]}", sep="\n", file=sys.stderr)
+        return 2
+    except (CliError, ValueError) as exc:
+        # ValueError covers compiler.SizeLimitError, the one size-limit error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:  # files are read under handlers of their own, so this is stdout
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         if sys.stdout is sys.__stdout__:  # shutdown flushes it once more: into devnull
@@ -293,39 +297,12 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 2
-    return status
-
-
-def _run(argv: list[str]) -> int:
-    try:
-        args = _parse(argv)
-    except UsageError as exc:
-        print(_usage(exc.args[0]), f"error: {exc.args[1]}", sep="\n", file=sys.stderr)
-        return 2
-    if args is None:
-        return 0
-    func, _, stages, oracle_stage, _ = COMMANDS[args.command]
-    flagged = {"emit": args.emit_matrices, oracle_stage: args.oracle}
-    stages = ("compile", *stages, *(stage for stage, on in flagged.items() if on))
-    try:
-        model = _load_model(args.model)
-        if model.p == 0 and args.command in ("output-controllability", "observability"):
-            raise CliError(f"model declares no outputs; {args.command.replace('-', ' ')} is undefined")
-        compiler.check_size(model.n, model.m, model.p, stages, args.max_size)
-        if args.sets is not None:
-            args.families = _load_sets(args.sets, model.n)
-        return func(args, model, compiler.algebraic_form(model, args.max_size))
-    except (CliError, ValueError) as exc:
-        # ValueError covers compiler.SizeLimitError, the one size-limit error.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError:
-        raise  # from stdout: `main` reports it
     except Exception as exc:
         # Last resort: an internal fault must exit 2, never 1, which
         # reads as "fails".
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

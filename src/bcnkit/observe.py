@@ -24,9 +24,6 @@ search.
 
 from __future__ import annotations
 
-from itertools import repeat
-
-from .boolmat import BooleanMatrix
 from .compiler import AlgebraicForm, SizeLimitError, check_size
 from .record import Record
 
@@ -40,14 +37,19 @@ def pair_index(z: int, x: int, n: int) -> int:
 
 class PairPartition(Record):
     """Theta / Xi split of the 2^(2n) joint indices; the diagonal D is the
-    rest.  theta holds only the z < x representatives, in ascending
-    pair-index order; xi holds both orientations.  The witness search reads
-    only xi; `paper` builds D and Theta's pair indices for the tests."""
+    rest.  xi holds both orientations; Theta is derived from `outputs`.
+    The witness search reads only xi; `paper` builds D and Theta's pair
+    indices for the tests."""
 
-    __slots__ = ("n", "theta", "xi")
+    __slots__ = ("n", "outputs", "xi")
     n: int
-    theta: tuple[tuple[int, int], ...]
+    outputs: tuple[int, ...]  # H's column per state
     xi: frozenset[int]
+
+    @property
+    def theta(self) -> tuple[tuple[int, int], ...]:
+        """The z < x same-output pairs: z ascending, then x ascending."""
+        return tuple((z, x) for z, xs in _theta_rows(self.outputs) for x in xs)
 
 
 def _theta_rows(outputs: tuple[int, ...]):
@@ -65,11 +67,10 @@ def partition_pairs(form: AlgebraicForm) -> PairPartition:
     outputs = form.H.col_index
     nn = len(outputs)
     others = {h: [x for x, hx in enumerate(outputs, 1) if hx != h] for h in set(outputs)}
-    theta, xi = [], []
-    for z, same in _theta_rows(outputs):
-        theta += zip(repeat(z), same)
-        xi += map(((z - 1) * nn).__add__, others[outputs[z - 1]])  # pair_index(z, x, n)
-    return PairPartition(n=form.n, theta=tuple(theta), xi=frozenset(xi))
+    xi = []
+    for z, h in enumerate(outputs, 1):
+        xi += map(((z - 1) * nn).__add__, others[h])  # pair_index(z, x, n)
+    return PairPartition(n=form.n, outputs=outputs, xi=frozenset(xi))
 
 
 def extended_system(form: AlgebraicForm) -> list[tuple[int, tuple[int, ...]]]:
@@ -174,10 +175,7 @@ class ObservabilityReport(Record):
     toward: tuple[int, ...]
     order: tuple[int, ...]
 
-    @property
-    def theta(self) -> tuple[tuple[int, int], ...]:
-        """The z < x same-output pairs: z ascending, then x ascending."""
-        return tuple((z, x) for z, xs in _theta_rows(self.outputs) for x in xs)
+    theta = PairPartition.theta  # read from `outputs`, as the partition reads it
 
     @property
     def flags(self) -> tuple[bool, ...]:
@@ -279,9 +277,11 @@ def distinguishing_witness(form: AlgebraicForm, z0: int, x0: int) -> tuple[tuple
     return _walk(dist, via, toward, pair_index(min(z0, x0), max(z0, x0), form.n) - 1)
 
 
-def render_report(report: ObservabilityReport, cs_row: BooleanMatrix | None = None) -> str:
+def render_report(report: ObservabilityReport, emit: bool = False) -> str:
     """One line per Theta pair, walked per z from the outputs, then the
-    global verdict.  Without witnesses a flag compares two class ids.
+    global verdict and, with `emit` and Theta not empty, the C_S row: the
+    1 x |Theta| flags in `BooleanMatrix.to_text` form.  Without witnesses
+    a flag compares two class ids.
     Witness texts are built in the search's order, ascending T, each as
     its control and the text of the pair one step on, every int through
     one str table; each line then releases its text, so the two are never
@@ -312,6 +312,6 @@ def render_report(report: ObservabilityReport, cs_row: BooleanMatrix | None = No
                     lines.append(f"{head}{names[x]}}} -> indistinguishable")
         del text  # its 4^n slots, before the join
     lines.append("verdict: " + ("observable" if report.observable else "not observable"))
-    if cs_row is not None:
-        lines.append(cs_row.to_text())
+    if emit and (flags := report.flags):
+        lines += [f"1 {len(flags)}", "".join("1" if f else "0" for f in flags)]
     return "\n".join(lines)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bcnkit import compiler, observe, reach
+from bcnkit import cli, compiler, observe, reach
 from bcnkit.cli import main
 from conftest import counter_text
 
@@ -17,6 +17,15 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _model(tmp_path, name):
+    """The path of a shipped model, or of the n-bit counter `counter<n>` written to tmp_path."""
+    if not name.startswith("counter"):
+        return MODELS / f"{name}.bcn"
+    path = tmp_path / f"{name}.bcn"
+    path.write_text(counter_text(int(name.removeprefix("counter"))))
+    return path
 
 
 def _spec(initial, destination='[{"states": [1]}]'):
@@ -275,18 +284,198 @@ OBSERVABILITY_DIGESTS = {
 }
 
 
+#: The flag sets of the reach commands whose output is pinned below.
+REACH_FLAGS = {
+    "plain": [],
+    "emit": ["--emit-matrices"],
+    "oracle": ["--oracle"],
+    "emit-oracle": ["--emit-matrices", "--oracle"],
+}
+
+#: The set specification of `bcn set-controllability` on every model but
+#: toy, which is run with its two shipped ones.
+WRITTEN_SETS = '{"initial": [{"states": [1]}, {"states": [2, 3]}], "destination": [{"states": [2]}]}'
+
+#: sha256 of "<exit code>\n<stdout>" of each reach command on each model
+#: (the 3- to 6-bit counters and the shipped models) and, for
+#: set-controllability, each set specification ("written" is WRITTEN_SETS),
+#: in the order of REACH_FLAGS.  lac_operon declares no outputs, so
+#: output-controllability refuses it with exit 2.
+REACH_DIGESTS = {
+    ("controllability", "counter3"): (
+        "d5e69f0b13423dd82e2e00703c69431ccce7a30c5b798d52c174284e2131498a",
+        "2df4d4e3b00608fe2d73a41f579aed757fe2be8e10826962b0d183d0ad912873",
+        "e0398707943a3bf83f80de7383ec1c19fa0b25095b65b08eff3b0b1aaccfcaf8",
+        "0f9bdf41516ee637af13b9c2e03edcc594125355a9f6be84e9720a6cc965eebb",
+    ),
+    ("controllability", "counter4"): (
+        "d5e69f0b13423dd82e2e00703c69431ccce7a30c5b798d52c174284e2131498a",
+        "9e4b1aa340bca2c9080f6b47afd84304d9e1fc70552e2457d8420e26d3e36e3b",
+        "e0398707943a3bf83f80de7383ec1c19fa0b25095b65b08eff3b0b1aaccfcaf8",
+        "21226239228558418b16cb8013901e14474f2357fb4105c0e9cc5ecfad23c3a3",
+    ),
+    ("controllability", "counter5"): (
+        "d5e69f0b13423dd82e2e00703c69431ccce7a30c5b798d52c174284e2131498a",
+        "ef976698118ae9d6f4ce8782dba2eeca2e6294fc931639c46352fa8ea0a7f0d3",
+        "e0398707943a3bf83f80de7383ec1c19fa0b25095b65b08eff3b0b1aaccfcaf8",
+        "1fb790a55b41a429d7335a610f86d49c369fdad9bfd800ba8cb28b9138fea59a",
+    ),
+    ("controllability", "counter6"): (
+        "d5e69f0b13423dd82e2e00703c69431ccce7a30c5b798d52c174284e2131498a",
+        "998bcf247b240236161c1afa32bbb5fbeb27b81a0ff2d1f8773f55816606934d",
+        "e0398707943a3bf83f80de7383ec1c19fa0b25095b65b08eff3b0b1aaccfcaf8",
+        "36c66e58f57e2a3303c14195bebb042e14492d2beba61f6bbcc1fd2df2526218",
+    ),
+    ("controllability", "lac_case1"): (
+        "d0ae8fc2660505f4b35f4b9f827a5b329064a81714344d6691b714c5284f19e9",
+        "41b70d3c41d515c16dc5127483153523bdabf481c4267b736dc2f2337457fc15",
+        "b07a9dc040ebb687394b4cfb4d91e9c57470c1d640c2204de06becaf56e36063",
+        "907754263140c441f7d82c2d68f78b289ac606deaf7007a0f72dcb771cb2f8d2",
+    ),
+    ("controllability", "lac_case2"): (
+        "d0ae8fc2660505f4b35f4b9f827a5b329064a81714344d6691b714c5284f19e9",
+        "41b70d3c41d515c16dc5127483153523bdabf481c4267b736dc2f2337457fc15",
+        "b07a9dc040ebb687394b4cfb4d91e9c57470c1d640c2204de06becaf56e36063",
+        "907754263140c441f7d82c2d68f78b289ac606deaf7007a0f72dcb771cb2f8d2",
+    ),
+    ("controllability", "lac_operon"): (
+        "d0ae8fc2660505f4b35f4b9f827a5b329064a81714344d6691b714c5284f19e9",
+        "41b70d3c41d515c16dc5127483153523bdabf481c4267b736dc2f2337457fc15",
+        "b07a9dc040ebb687394b4cfb4d91e9c57470c1d640c2204de06becaf56e36063",
+        "907754263140c441f7d82c2d68f78b289ac606deaf7007a0f72dcb771cb2f8d2",
+    ),
+    ("controllability", "toy"): (
+        "d0ae8fc2660505f4b35f4b9f827a5b329064a81714344d6691b714c5284f19e9",
+        "e1d9b29c88e68ff274f70aa2d8ece98d820af37d6aa81eccf4973df66d861747",
+        "b07a9dc040ebb687394b4cfb4d91e9c57470c1d640c2204de06becaf56e36063",
+        "2234168df2fc088872f9036f2494f37cdeecc8dc0c6d491798313025a4188928",
+    ),
+    ("set-controllability", "counter3", "written"): (
+        "261466982149cae0f8b17ca5c08f5c934e8edec12660cb909bc94803b5d7b970",
+        "e8896e61fd6c82471dd24601df7c8b36b038192bf9eb22d96f858c441c2ca7db",
+        "d17fa4f806ef72e144926761cca3246f0e16b378428ab5b7b3da86fb215022c4",
+        "9ac692de033c1295b8f6130b86eb66c7ee2e5c251cd8f60a7c3ba09aec2042e1",
+    ),
+    ("set-controllability", "counter4", "written"): (
+        "261466982149cae0f8b17ca5c08f5c934e8edec12660cb909bc94803b5d7b970",
+        "cfd399b6252d82f6ca50533875bf46853021b37825d2ca80142817672a62a783",
+        "d17fa4f806ef72e144926761cca3246f0e16b378428ab5b7b3da86fb215022c4",
+        "2a9c2f2124b189e4da880cf490eea404fbfc2c8667bccff00ff4b85ffdc94dee",
+    ),
+    ("set-controllability", "counter5", "written"): (
+        "261466982149cae0f8b17ca5c08f5c934e8edec12660cb909bc94803b5d7b970",
+        "fcdafde80e5dd42fa709760882e177a8b9efb1009cb16426fe284d1847bc88ad",
+        "d17fa4f806ef72e144926761cca3246f0e16b378428ab5b7b3da86fb215022c4",
+        "6746477416aa1dea668aae76b2b12ab48ab9e03450fa7dd8d9658152dae16afd",
+    ),
+    ("set-controllability", "counter6", "written"): (
+        "261466982149cae0f8b17ca5c08f5c934e8edec12660cb909bc94803b5d7b970",
+        "39c3f6590af9bd6dc1c7dde012495d39529a566a20b4831cb51bf977fd70132c",
+        "d17fa4f806ef72e144926761cca3246f0e16b378428ab5b7b3da86fb215022c4",
+        "1df2094d387bbf9f980d23c16302af4c848e4f50a32bfbcd50409e29f6c5161b",
+    ),
+    ("set-controllability", "lac_case1", "written"): (
+        "3e9ff5e0878567543e05e63afb50b935e5f8d2ea0f5bdbbaf42e5fb6cbea29ed",
+        "3cad3c2580f45c3119dd46ff4c7832c51d5f77857f0f6980aa9776c395f3616c",
+        "8e63271e983c067e63b45811b9c7640122037b1ad17a52dc979a6f216af5d151",
+        "883d989501e481ea9a5244e7f9853d1de3debcb046055ba88876a8a878e84573",
+    ),
+    ("set-controllability", "lac_case2", "written"): (
+        "3e9ff5e0878567543e05e63afb50b935e5f8d2ea0f5bdbbaf42e5fb6cbea29ed",
+        "3cad3c2580f45c3119dd46ff4c7832c51d5f77857f0f6980aa9776c395f3616c",
+        "8e63271e983c067e63b45811b9c7640122037b1ad17a52dc979a6f216af5d151",
+        "883d989501e481ea9a5244e7f9853d1de3debcb046055ba88876a8a878e84573",
+    ),
+    ("set-controllability", "lac_operon", "written"): (
+        "3e9ff5e0878567543e05e63afb50b935e5f8d2ea0f5bdbbaf42e5fb6cbea29ed",
+        "3cad3c2580f45c3119dd46ff4c7832c51d5f77857f0f6980aa9776c395f3616c",
+        "8e63271e983c067e63b45811b9c7640122037b1ad17a52dc979a6f216af5d151",
+        "883d989501e481ea9a5244e7f9853d1de3debcb046055ba88876a8a878e84573",
+    ),
+    ("set-controllability", "toy", "toy_sets_reachable"): (
+        "261466982149cae0f8b17ca5c08f5c934e8edec12660cb909bc94803b5d7b970",
+        "4de2b4eaca2c00478927e46b3fa9e3149731b914f31b321d9e5b0e78220ff95e",
+        "d17fa4f806ef72e144926761cca3246f0e16b378428ab5b7b3da86fb215022c4",
+        "9198b08ab0120e63ccd0345ab686a9206695069eb9075e5c82a02f138f138ae8",
+    ),
+    ("set-controllability", "toy", "toy_sets_unreachable"): (
+        "3e9ff5e0878567543e05e63afb50b935e5f8d2ea0f5bdbbaf42e5fb6cbea29ed",
+        "c0bb73b4e1d039dcff75c70c29f41c8bc6ce881954c357814884ae1feb3ee60e",
+        "8e63271e983c067e63b45811b9c7640122037b1ad17a52dc979a6f216af5d151",
+        "3a0e602c3b46747af7a6760e796357903c89641deca9dd9a64ae835f62aab166",
+    ),
+    ("output-controllability", "counter3"): (
+        "6510f9f525f2fbf0d1185f9f5007a422c29ea1ac4f1617b0f8f28f91ab0f92a1",
+        "150e22f82dfdb0899961123ea29e456ea5b67cd3438003a3552fc854e7632614",
+        "4fd279bf975a1da3a376dbb1d5d4bb09efb8c15f0ba6f74c4289ac8ee46cab18",
+        "3f1d85d62069c6827e3870f6e6a7677c36e924e4b2203f620dc2ee094491a124",
+    ),
+    ("output-controllability", "counter4"): (
+        "6510f9f525f2fbf0d1185f9f5007a422c29ea1ac4f1617b0f8f28f91ab0f92a1",
+        "c9a136b4e51a1f9b67b7e1e8c404c59eb364dec4a51f96d9377350e68f4b0895",
+        "4fd279bf975a1da3a376dbb1d5d4bb09efb8c15f0ba6f74c4289ac8ee46cab18",
+        "d648b70b48c9e4d596ad8e7809abbcf607d611413f94c5d63df1ec527aebb9be",
+    ),
+    ("output-controllability", "counter5"): (
+        "6510f9f525f2fbf0d1185f9f5007a422c29ea1ac4f1617b0f8f28f91ab0f92a1",
+        "6aa25f59082a48722463f1e0c5be1385e75d30c0d9bde93e31de468cbff35450",
+        "4fd279bf975a1da3a376dbb1d5d4bb09efb8c15f0ba6f74c4289ac8ee46cab18",
+        "abebc21d910e0504a5e4b2cd9019739129ab0132ea54963ce145a56446485d97",
+    ),
+    ("output-controllability", "counter6"): (
+        "6510f9f525f2fbf0d1185f9f5007a422c29ea1ac4f1617b0f8f28f91ab0f92a1",
+        "33ba064107af14fc04cefdaf01ee2f1f8ccb4667dddf90ac7ee23cc05a72b6f5",
+        "4fd279bf975a1da3a376dbb1d5d4bb09efb8c15f0ba6f74c4289ac8ee46cab18",
+        "aab7597b978dda0650ef816c8ea562e3223aabd487170fbb1ab81ec4f7e1a4d1",
+    ),
+    ("output-controllability", "lac_case1"): (
+        "e178a3a30629fbc824b7b3aab2fd89ff1c6631acb9682a417e352188409b4255",
+        "ca9aceb0845b07b44a468254ca1c5d58d626cf82b2a6e8d89b352801d8a0701e",
+        "923b85297494c65bcbfdda8c9514ea820aef2c90d4f921190c17e0730c5aa952",
+        "780b7567c45015c4a4b70a77ac3960546e26461671b156a2009499d648423aee",
+    ),
+    ("output-controllability", "lac_case2"): (
+        "6510f9f525f2fbf0d1185f9f5007a422c29ea1ac4f1617b0f8f28f91ab0f92a1",
+        "451fdda8ae2fe9c497e754bcea164e2888d77866e5721653fabc8b3512f250f3",
+        "4fd279bf975a1da3a376dbb1d5d4bb09efb8c15f0ba6f74c4289ac8ee46cab18",
+        "05e65007ed747cf877e87a86154f0d421ac82ce57df26099249b85adc1ff13bc",
+    ),
+    ("output-controllability", "lac_operon"): (
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ),
+    ("output-controllability", "toy"): (
+        "6510f9f525f2fbf0d1185f9f5007a422c29ea1ac4f1617b0f8f28f91ab0f92a1",
+        "ebff726b281892e6df5a5b501ede79434715c20583ada442fbf13a3fc24ab57b",
+        "4fd279bf975a1da3a376dbb1d5d4bb09efb8c15f0ba6f74c4289ac8ee46cab18",
+        "28dc83a01ac3afa455daa2ab536c462bf69e42758d09529de7d2a371c1066923",
+    ),
+}
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("name, flags", [
         (name, flags) for name in OBSERVABILITY_DIGESTS for flags in OBSERVABILITY_FLAGS
     ], ids=lambda value: value)
     def test_observability_bytes(self, capsys, tmp_path, name, flags):
-        path = MODELS / f"{name}.bcn"
-        if name.startswith("counter"):
-            path = tmp_path / f"{name}.bcn"
-            path.write_text(counter_text(int(name.removeprefix("counter"))))
-        code, out, _ = run(capsys, "observability", path, *OBSERVABILITY_FLAGS[flags])
+        code, out, _ = run(capsys, "observability", _model(tmp_path, name), *OBSERVABILITY_FLAGS[flags])
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         assert digest == OBSERVABILITY_DIGESTS[name][list(OBSERVABILITY_FLAGS).index(flags)]
+
+    @pytest.mark.parametrize("case, flags", [
+        (case, flags) for case in REACH_DIGESTS for flags in REACH_FLAGS
+    ], ids=lambda value: "-".join(value) if isinstance(value, tuple) else value)
+    def test_reach_bytes(self, capsys, tmp_path, case, flags):
+        command, name, *spec = case
+        sets = ["--sets", MODELS / f"{spec[0]}.json"] if spec else []
+        if spec == ["written"]:
+            sets[1] = tmp_path / "sets.json"
+            sets[1].write_text(WRITTEN_SETS)
+        code, out, _ = run(capsys, command, _model(tmp_path, name), *REACH_FLAGS[flags], *sets)
+        digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        assert digest == REACH_DIGESTS[case][list(REACH_FLAGS).index(flags)]
 
 TOY = str(MODELS / "toy.bcn")
 CASE2 = str(MODELS / "lac_case2.bcn")
@@ -580,15 +769,19 @@ class TestExitContract:
                         assert len(f"error: {e}") < 120 and "\n" not in str(e), str(e)
         assert refused
 
-    @pytest.mark.parametrize("command", ["controllability", "observability"])
-    def test_internal_fault_exits_2(self, capsys, monkeypatch, command):
-        # A fault inside an engine is not an answer: exit 2, never 1, with
-        # one `internal error` line naming the exception.
+    @pytest.mark.parametrize("command, owner, name", [
+        ("controllability", reach, "controllability_matrix"),
+        ("observability", observe, "observability_verdict"),
+        ("observability", cli, "_option"),  # while argv is read
+    ], ids=["controllability", "observability", "argv"])
+    def test_internal_fault_exits_2(self, capsys, monkeypatch, command, owner, name):
+        # A fault inside an engine, or anywhere else, is not an answer:
+        # exit 2, never 1, with one `internal error` line naming the
+        # exception.
         def fault(*args, **kwargs):
             raise RuntimeError("engine fault")
 
-        monkeypatch.setattr(reach, "controllability_matrix", fault)
-        monkeypatch.setattr(observe, "observability_verdict", fault)
+        monkeypatch.setattr(owner, name, fault)
         code, out, err = run(capsys, command, MODELS / "toy.bcn")
         assert (code, out, err) == (2, "", "error: internal error: RuntimeError: engine fault\n")
 
