@@ -9,8 +9,9 @@ nothing up front: a name below loads its home module on first use
 import importlib
 
 _EXPORTS = {
-    "boolmat": ("BooleanMatrix", "LogicalMatrix"),
-    "compiler": ("AlgebraicForm", "algebraic_form", "decode_state", "encode_state", "structure_matrix"),
+    "boolmat": ("BooleanMatrix",),
+    "compiler": ("AlgebraicForm", "LogicalMatrix", "algebraic_form", "decode_state", "encode_state",
+                 "structure_matrix"),
     "netlang": ("NetworkModel", "parse_expr", "parse_network"),
     "observe": ("distinguishing_witness", "observability_verdict"),
     "reach": (

@@ -1,11 +1,8 @@
 """Matrix algebra over the Boolean semiring ({0,1}, OR, AND).
 
-Two representations:
-
-* ``BooleanMatrix`` -- dense, with each row bit-packed into a Python int.
-* ``LogicalMatrix`` -- a matrix whose every column is a canonical basis
-  vector, stored as an array of 1-based column indices (the compact
-  ``delta_m[i1,...,ir]`` form).
+``BooleanMatrix`` is dense, with each row bit-packed into a Python int.
+The column-index ``LogicalMatrix`` and ``ShapeError`` are the compiler's,
+and `reach.logical_mul` is the one product with a logical factor, H * C.
 
 All indices in the public API are 1-based.  Values are immutable; every
 operation returns a fresh matrix.  The paper's algebra that only the
@@ -42,11 +39,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from operator import itemgetter, or_
 
-from .record import Record
-
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
+from .compiler import ShapeError
 
 
 class BooleanMatrix:
@@ -222,48 +215,3 @@ def _getter(indices: list[int]) -> itemgetter:
     if len(indices) == 1:
         return itemgetter(slice(indices[0], indices[0] + 1))
     return itemgetter(*indices)
-
-
-class LogicalMatrix(Record):
-    """delta_rows[c1, ..., cr]: column k is the basis vector with a single 1
-    in row col_index[k]."""
-
-    __slots__ = ("rows", "col_index")
-    rows: int
-    col_index: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 1:
-            raise ShapeError("row count must be positive")
-        cols = tuple(self.col_index)
-        if not cols:
-            raise ShapeError("a logical matrix needs at least one column")
-        if min(cols) < 1 or max(cols) > self.rows:
-            bad = [c for c in cols if not 1 <= c <= self.rows]
-            raise ValueError(f"column indices {bad} outside 1..{self.rows}")
-        object.__setattr__(self, "col_index", cols)
-
-    @property
-    def cols(self) -> int:
-        return len(self.col_index)
-
-    def mul(self, other: BooleanMatrix) -> BooleanMatrix:
-        """The Boolean product with a dense right operand, equal to
-        `paper.to_boolean(self).mul(other)`: row i ORs the rows of other
-        at the columns k whose index is i, so rows no column names stay
-        zero."""
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        acc = [0] * self.rows
-        for i, b in zip(self.col_index, other._bits):
-            acc[i - 1] |= b
-        return BooleanMatrix._unchecked(self.rows, other.cols, acc)
-
-    def to_text(self) -> str:
-        """Canonical form: 'delta <rows> [c1 c2 ... cr]'."""
-        return f"delta {self.rows} [{' '.join(map(str, self.col_index))}]"
-
-    def __repr__(self) -> str:
-        return f"LogicalMatrix(delta_{self.rows}{list(self.col_index)})"

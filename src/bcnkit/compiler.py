@@ -9,9 +9,9 @@ Rules are tabulated bit-sliced: over k ordered variables, bit t of a
 Python int holds a value at the assignment decoded from column t+1.
 Each variable is such a periodic mask, and each rule is evaluated once
 with its operators applied as int operations.  The truth tables become
-column indices through a digit grid: each column gets one run of binary
-digits, one per rule, and reads back with `int(run, 2)`.  No column walks
-the AST.
+column indices through fixed-width lanes, one per column, summed over the
+rules as one int and read back through a typed `memoryview`.  No column
+walks the AST and none is parsed on its own.
 The brute-force oracle evaluates one assignment at a time with
 `netlang.eval_expr`.  It shares with this module the state index codec
 and the node order of `netlang.postorder`, which both evaluators walk,
@@ -20,9 +20,9 @@ but not the operator semantics: each maps every operator to its own code.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 
-from .boolmat import LogicalMatrix
 from .netlang import And, Const, Expr, Iff, Implies, NetworkModel, Not, Or, Var, Xor, postorder
 from .record import Record
 
@@ -39,11 +39,15 @@ class SizeLimitError(ValueError):
     """A model exceeds a size limit of the requested analysis (`check_size`)."""
 
 
+class ShapeError(ValueError):
+    """Operand shapes are incompatible for the requested operation."""
+
+
 def compile_bytes(columns_log2: int) -> int:
-    """Estimated peak memory of compiling 2^(n+m) columns: 16 MiB plus 128 B
-    per column.  Fitted to `bcn compile`'s peak RSS on n-bit counters, 21.9,
-    45.2, 76.6, 140.2, 264 and 516 MiB at n + m = 16 and 18-22, at most 98%."""
-    return (16 << 20) + (128 << columns_log2)
+    """Estimated peak memory of compiling 2^(n+m) columns: 16 MiB plus 136 B
+    per column.  Fitted to `bcn compile`'s peak RSS on n-bit counters, 22.0,
+    46.4, 78.9, 140.4, 279.7 and 541.1 MiB at n + m = 16 and 18-22, at most 98%."""
+    return (16 << 20) + (136 << columns_log2)
 
 
 def closure_bytes(n: int, outputs: int = 0, emit: bool = False) -> int:
@@ -192,16 +196,55 @@ def _columns(exprs: Sequence[Expr], variables: Sequence[str]) -> tuple[int, ...]
     if unknown:
         raise ValueError(f"unbound variables {sorted(unknown)}")
 
-    # Column t's index minus 1, in binary, has one digit per rule, first
-    # rule first, which is 1 where that rule is false at t.  The grid is
-    # column-major: column t's digits are one run of r + 1 ASCII digits,
-    # behind a leading 0 so that r = 0 still reads as index 1.  format()
-    # prints the highest column first; reversing puts column 0 first.
-    step = len(tables) + 1
-    grid = bytearray(b"0") * (step * width)
-    for q, table in enumerate(tables, start=1):
-        grid[q::step] = format(full ^ table, f"0{width}b")[::-1].encode()
-    return tuple(int(grid[i:i + step], 2) + 1 for i in range(0, len(grid), step))
+    # Column t's index minus 1 has one digit per rule, first rule most
+    # significant: 1 where the rule is false at t.  A rule's digits go to the
+    # low bytes of the columns' lanes (format() lists the last column first)
+    # and shift to its digit; with an all-false table for the 1, the rules
+    # sum to the indices, and a lane is wide enough that none carries over.
+    rules = len(tables)
+    lane, code = next(((s, c) for s, c in zip((1, 2, 4, 8), "BHIQ") if rules < 8 * s), (rules // 8 + 1, ""))
+    last = -lane if sys.byteorder == "little" else -1  # the low byte of the last lane
+    lanes = bytearray(lane * width)
+    total = 0
+    false = bytes.maketrans(b"01", b"\1\0")
+    for digit, table in ((0, 0), *enumerate(reversed(tables))):
+        lanes[last::-lane] = format(table, f"0{width}b").encode().translate(false)
+        total += int.from_bytes(lanes, sys.byteorder) << digit
+    data = total.to_bytes(lane * width, sys.byteorder)
+    if code:
+        return tuple(memoryview(data).cast(code))
+    return tuple(int.from_bytes(data[i:i + lane], sys.byteorder) for i in range(0, len(data), lane))
+
+
+class LogicalMatrix(Record):
+    """delta_rows[c1, ..., cr]: column k is the basis vector with a single 1
+    in row col_index[k]."""
+
+    __slots__ = ("rows", "col_index")
+    rows: int
+    col_index: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.rows < 1:
+            raise ShapeError("row count must be positive")
+        cols = tuple(self.col_index)
+        if not cols:
+            raise ShapeError("a logical matrix needs at least one column")
+        if min(cols) < 1 or max(cols) > self.rows:
+            bad = [c for c in cols if not 1 <= c <= self.rows]
+            raise ValueError(f"column indices {bad} outside 1..{self.rows}")
+        object.__setattr__(self, "col_index", cols)
+
+    @property
+    def cols(self) -> int:
+        return len(self.col_index)
+
+    def to_text(self) -> str:
+        """Canonical form: 'delta <rows> [c1 c2 ... cr]'."""
+        return f"delta {self.rows} [{' '.join(map(str, self.col_index))}]"
+
+    def __repr__(self) -> str:
+        return f"LogicalMatrix(delta_{self.rows}{list(self.col_index)})"
 
 
 def structure_matrix(e: Expr, variables: Sequence[str]) -> LogicalMatrix:

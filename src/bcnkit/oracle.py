@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .boolmat import BooleanMatrix
 from .compiler import SizeLimitError, check_size, decode_state, encode_state
 from .netlang import (
     And,
@@ -54,6 +53,7 @@ def transition_graph(model: NetworkModel) -> tuple[tuple[int, ...], ...]:
 
 def reach_oracle(model: NetworkModel) -> BooleanMatrix:
     """Entry (i, j) = 1 iff BFS from j reaches i in at least one step."""
+    from .boolmat import BooleanMatrix  # loaded here: no other oracle builds a matrix
     check_size(model.n, model.m, model.p, ("reach_oracle",))
     successors = transition_graph(model)
     nn = len(successors)

@@ -3,7 +3,7 @@ against: semi-tensor and Kronecker products, dense constructors and
 readers, and observability as set controllability of the paired system.
 
 Only the tests import it, no `bcn` command.  Functions take the matrix
-first and read its packed rows `_bits`, as `LogicalMatrix.mul` does; they
+first and read its packed rows `_bits`, as `reach.logical_mul` does; they
 call the engines through their modules, so a test that replaces a module
 attribute replaces what they call.
 """
@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from math import lcm
 
 from . import compiler, observe, reach
-from .boolmat import BooleanMatrix, LogicalMatrix, ShapeError, _support
+from .boolmat import BooleanMatrix, ShapeError, _support
 
 
 def from_rows(entries: Sequence[Sequence[int]]) -> BooleanMatrix:
@@ -50,13 +50,13 @@ def column_support(a: BooleanMatrix, j: int) -> tuple[int, ...]:
     return tuple(i for i, b in enumerate(a._bits, start=1) if b >> (j - 1) & 1)
 
 
-def column(h: LogicalMatrix, k: int) -> int:
+def column(h: compiler.LogicalMatrix, k: int) -> int:
     if not 1 <= k <= h.cols:
         raise IndexError(f"column {k} outside 1..{h.cols}")
     return h.col_index[k - 1]
 
 
-def to_boolean(h: LogicalMatrix) -> BooleanMatrix:
+def to_boolean(h: compiler.LogicalMatrix) -> BooleanMatrix:
     return BooleanMatrix.from_columns(h.rows, [(c,) for c in h.col_index])
 
 

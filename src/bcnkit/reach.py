@@ -12,8 +12,8 @@ memory (`bcn`, before compiling) and H * C with more than 20 outputs.
 
 from __future__ import annotations
 
-from .boolmat import BooleanMatrix, ShapeError
-from .compiler import AlgebraicForm, check_size, encode_state
+from .boolmat import BooleanMatrix
+from .compiler import AlgebraicForm, LogicalMatrix, ShapeError, check_size, encode_state
 from .record import Record
 
 
@@ -98,14 +98,22 @@ def set_controllability_matrix(
 
 
 def output_controllability_matrix(c: BooleanMatrix, form: AlgebraicForm) -> BooleanMatrix:
-    """H * C over the Boolean semiring; all-ones means every output value
-    is reachable from every initial state.  Row v is the OR of C's rows
-    over the states whose output is v (`LogicalMatrix.mul`), so H is
-    never made dense."""
+    """H * C over the Boolean semiring (`logical_mul`); all-ones means every
+    output value is reachable from every initial state."""
     if form.p == 0:
         raise ValueError("model has no outputs")
     check_size(form.n, form.m, form.p, ("outputs",))
-    return form.H.mul(c)
+    return logical_mul(form.H, c)
+
+
+def logical_mul(h: LogicalMatrix, c: BooleanMatrix) -> BooleanMatrix:
+    """h * c, equal to `paper.to_boolean(h).mul(c)`; rows no column names stay zero."""
+    if h.cols != c.rows:
+        raise ShapeError(f"cannot multiply {h.rows}x{h.cols} by {c.rows}x{c.cols}")
+    acc = [0] * h.rows
+    for i, b in zip(h.col_index, c._bits):
+        acc[i - 1] |= b
+    return BooleanMatrix._unchecked(h.rows, c.cols, acc)
 
 
 # -- set-specification files ------------------------------------------------

@@ -6,8 +6,8 @@ import random
 from time import perf_counter
 
 from bcnkit import paper
-from bcnkit.boolmat import BooleanMatrix, LogicalMatrix
-from bcnkit.compiler import algebraic_form
+from bcnkit.boolmat import BooleanMatrix
+from bcnkit.compiler import LogicalMatrix, algebraic_form
 from bcnkit.observe import (
     distinguishing_witness,
     observability_verdict,

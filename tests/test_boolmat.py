@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcnkit import paper
-from bcnkit.boolmat import BooleanMatrix, LogicalMatrix, ShapeError, _support
+from bcnkit import paper, reach
+from bcnkit.boolmat import BooleanMatrix, ShapeError, _support
+from bcnkit.compiler import LogicalMatrix
 
 
 def bm(rows):
@@ -370,11 +371,11 @@ class TestLogicalMatrix:
         for _ in range(20):
             a = LogicalMatrix(rows, tuple(rng.randint(1, rows) for _ in range(cols)))
             b = random_matrix(rng, cols, rng.randint(1, 9))
-            assert a.mul(b) == naive_mul(paper.to_boolean(a), b)
+            assert reach.logical_mul(a, b) == naive_mul(paper.to_boolean(a), b)
 
     def test_product_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            LogicalMatrix(2, (1, 2, 2)).mul(BooleanMatrix.identity(2))
+            reach.logical_mul(LogicalMatrix(2, (1, 2, 2)), BooleanMatrix.identity(2))
 
 
 class TestSerialization:

@@ -1,18 +1,20 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from bcnkit import netlang, observe, oracle, paper
-from bcnkit.boolmat import LogicalMatrix
+from bcnkit import compiler, netlang, observe, oracle, paper
 from bcnkit.compiler import (
+    LogicalMatrix,
     SizeLimitError,
+    _columns,
     algebraic_form,
     decode_state,
     encode_state,
     render_algebraic,
     structure_matrix,
 )
-from bcnkit.netlang import And, NetworkModel, Not, Var, eval_expr, parse_expr, parse_network
+from bcnkit.netlang import And, Const, NetworkModel, Not, Or, Var, Xor, eval_expr, parse_expr, parse_network
 from conftest import counter_text
 
 # Transcription of the lac-operon transition matrix (64 column indices):
@@ -269,6 +271,54 @@ def _reference_columns(exprs, variables):
         env = dict(zip(variables, decode_state(a, k)))
         cols.append(encode_state([eval_expr(e, env) for e in exprs]))
     return tuple(cols)
+
+
+class TestColumns:
+    """`_columns` reads the column indices back through one lane per
+    column, of 1, 2, 4 or 8 bytes read at once, or wider and read one at a
+    time: rule counts on both sides of every lane-width switch (an index
+    needs one bit more than the rule count), over 0-3 variables."""
+
+    RULES = [0, 1, 7, 8, 15, 16, 31, 32, 63, 64, 70]
+
+    @staticmethod
+    def _rules(rng, variables, count):
+        def leaf():
+            if not variables or rng.random() < 0.2:
+                return Const(rng.randint(0, 1))
+            return Var(rng.choice(variables))
+
+        ops = (And, Or, Xor)
+        return tuple(rng.choice([leaf, lambda: Not(leaf()), lambda: rng.choice(ops)(leaf(), leaf())])()
+                     for _ in range(count))
+
+    @pytest.mark.parametrize("rules", RULES)
+    @pytest.mark.parametrize("k", range(4))
+    def test_matches_reference(self, rules, k):
+        rng = random.Random(100 * rules + k)
+        variables = ["a", "b", "c"][:k]
+        for _ in range(3):
+            exprs = self._rules(rng, variables, rules)
+            cols = _columns(exprs, variables)
+            assert cols == _reference_columns(exprs, variables)
+            # `state_maps` keys a dict by the columns, and `Record` hashes them.
+            assert type(cols) is tuple and all(type(c) is int for c in cols)
+
+    @pytest.mark.parametrize("rules", RULES)
+    def test_widest_index_fits_its_lane(self, rules):
+        # Every rule false at every column: each index is 2^rules, which
+        # needs all rules + 1 bits of the lane.
+        assert _columns((Const(0),) * rules, ["a", "b"]) == (1 << rules,) * 4
+
+    @pytest.mark.parametrize("order", ["little", "big"])
+    def test_wide_lanes_in_either_byte_order(self, monkeypatch, order):
+        # Lanes wider than 8 bytes are read back one at a time in the byte
+        # order the sum was written in, so either order lays them out right.
+        rng = random.Random(7)
+        variables = ["a", "b", "c"]
+        exprs = self._rules(rng, variables, 70)
+        monkeypatch.setattr(compiler, "sys", SimpleNamespace(byteorder=order))
+        assert _columns(exprs, variables) == _reference_columns(exprs, variables)
 
 
 def _node_types(e):

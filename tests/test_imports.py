@@ -20,7 +20,7 @@ SETS = ["--sets", str(ROOT / "models" / "toy_sets_reachable.json")]
 HOME = {
     "AlgebraicForm": "compiler",
     "BooleanMatrix": "boolmat",
-    "LogicalMatrix": "boolmat",
+    "LogicalMatrix": "compiler",
     "NetworkModel": "netlang",
     "SetFamily": "reach",
     "StateSet": "reach",
@@ -62,8 +62,8 @@ class TestLazyPackage:
 
 
 #: The modules `python -m bcnkit.cli` loads on top of a bare start-up.
-COMPILE_SET = {"bcnkit", "bcnkit.boolmat", "bcnkit.compiler", "bcnkit.netlang", "bcnkit.record"}
-REACH_SET = COMPILE_SET | {"bcnkit.reach"}
+COMPILE_SET = {"bcnkit", "bcnkit.compiler", "bcnkit.netlang", "bcnkit.record"}
+REACH_SET = COMPILE_SET | {"bcnkit.reach", "bcnkit.boolmat"}
 OBSERVE_SET = COMPILE_SET | {"bcnkit.observe"}
 RUNS = {
     "compile": (["compile", TOY], COMPILE_SET),

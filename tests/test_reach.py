@@ -3,8 +3,8 @@ import random
 import pytest
 
 from bcnkit import paper
-from bcnkit.boolmat import BooleanMatrix, LogicalMatrix
-from bcnkit.compiler import algebraic_form
+from bcnkit.boolmat import BooleanMatrix
+from bcnkit.compiler import LogicalMatrix, algebraic_form
 from bcnkit.netlang import parse_network
 from bcnkit.oracle import random_model, reach_oracle
 from bcnkit.reach import (

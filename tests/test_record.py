@@ -10,7 +10,7 @@ import pytest
 
 import bcnkit
 from bcnkit import observe  # noqa: F401  (with what it imports, every module that defines a record)
-from bcnkit.boolmat import LogicalMatrix
+from bcnkit.compiler import LogicalMatrix
 from bcnkit.netlang import And, Const, NetworkModel, Not, Or, Var, parse_network
 from bcnkit.reach import SetFamily, StateSet
 from bcnkit.record import Record
