@@ -12,10 +12,11 @@ Exit codes: 0 when the queried property holds, 1 when it does not,
 2 on usage, parse or size errors, oracle disagreement, internal faults and
 a failed write to stdout (a full disk or a closed pipe).  `main` is the
 one error ladder: usage error, user error, stdout write, internal fault.
-It checks every size limit of a command with one `compiler.check_size`
-call before compiling, and each command runs its analysis and --oracle
-check before printing, so a refusal prints nothing.  `_reach_verdict` is
-the one verdict of the three reach commands.
+It checks every size limit of a command and its flags (--witness alone
+meets the pair-space guard) with one `compiler.check_size` call before
+compiling; each command runs its analysis and --oracle check before it
+writes, so a refusal prints nothing.  `_reach_verdict` is the one
+verdict of the three reach commands.
 
 Every run pays for each module it imports, so only `compiler` and
 `netlang` load with this module: each command imports the engine it runs
@@ -73,7 +74,7 @@ def _load_sets(path: str, n: int) -> tuple[reach.SetFamily, reach.SetFamily]:
 
 
 def cmd_compile(args, model, form) -> int:
-    print(compiler.render_algebraic(form), end="")
+    compiler.render_algebraic(form, sys.stdout)
     return 0
 
 
@@ -123,7 +124,7 @@ def cmd_observability(args, model, form) -> int:
     if args.oracle:
         from . import oracle
         agree = dict(oracle.distinguish_oracle(model)) == dict(zip(report.theta, report.flags))
-    print(observe.render_report(report, args.emit_matrices))
+    observe.render_report(report, sys.stdout, args.emit_matrices)
     return _oracle_status(agree, 0 if report.observable else 1)
 
 
@@ -147,7 +148,7 @@ COMMANDS = {
                             ("--max-size", "--sets", "--emit-matrices", "--oracle")),
     "output-controllability": (cmd_output_controllability, "decide output controllability",
                                ("outputs", "closure"), "reach_oracle", _REACH_OPTIONS),
-    "observability": (cmd_observability, "decide observability", ("pairs",), "distinguish_oracle",
+    "observability": (cmd_observability, "decide observability", (), "distinguish_oracle",
                       ("--max-size", "--emit-matrices", "--witness", "--oracle")),
 }
 _HELP = ("-h", "--help")
@@ -273,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 0
         if args is not None:
             func, _, stages, oracle_stage, _ = COMMANDS[args.command]
-            flagged = {"emit": args.emit_matrices, oracle_stage: args.oracle}
+            flagged = {"emit": args.emit_matrices, oracle_stage: args.oracle, "pairs": args.witness}
             model = _load_model(args.model)
             if model.p == 0 and args.command in ("output-controllability", "observability"):
                 raise CliError(f"model declares no outputs; {args.command.replace('-', ' ')} is undefined")

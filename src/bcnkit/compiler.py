@@ -11,7 +11,8 @@ Each variable is such a periodic mask, and each rule is evaluated once
 with its operators applied as int operations.  The truth tables become
 column indices through fixed-width lanes, one per column, summed over the
 rules as one int and read back through a typed `memoryview`.  No column
-walks the AST and none is parsed on its own.
+walks the AST and none is parsed on its own.  `render_algebraic` writes
+L and H to a stream, `TEXT_CHUNK` indices a write, never as one string.
 The brute-force oracle evaluates one assignment at a time with
 `netlang.eval_expr`.  It shares with this module the state index codec
 and the node order of `netlang.postorder`, which both evaluators walk,
@@ -30,6 +31,9 @@ from .record import Record
 #: and output controllability models with more outputs (H has 2^p rows).
 MAX_FLAT_VARS = 20
 
+#: `LogicalMatrix.write_text` writes this many column indices per write.
+TEXT_CHUNK = 1 << 16
+
 #: Runs whose estimated peak memory (`compile_bytes`, `closure_bytes` or
 #: `pair_space_bytes`) exceeds this many bytes are refused, half of 8 GiB.
 MAX_BYTES = 4 << 30
@@ -46,7 +50,8 @@ class ShapeError(ValueError):
 def compile_bytes(columns_log2: int) -> int:
     """Estimated peak memory of compiling 2^(n+m) columns: 16 MiB plus 136 B
     per column.  Fitted to `bcn compile`'s peak RSS on n-bit counters, 22.0,
-    46.4, 78.9, 140.4, 279.7 and 541.1 MiB at n + m = 16 and 18-22, at most 98%."""
+    46.4, 78.9, 140.4, 279.7 and 541.1 MiB at n + m = 16 and 18-22 with the text
+    joined whole, at most 98%; written in chunks, n + m = 20 peaks at 72 MiB."""
     return (16 << 20) + (136 << columns_log2)
 
 
@@ -61,20 +66,15 @@ def closure_bytes(n: int, outputs: int = 0, emit: bool = False) -> int:
 
 
 def pair_space_bytes(n: int, m: int, witness_steps: int = 0) -> int:
-    """Estimated peak memory of `observe.observability_verdict` and
-    `render_report`: 4^n * (80 * 2^m + 220) bytes for the pair maps,
-    distances and pair sets, plus 8 bytes per witness control for the
-    witness texts, their lines and the joined report, plus 512 bytes of
-    fixed allocations.  Fitted to tracemalloc peaks on 24 seeded random
-    models, n = 7-9, m = 0-3, p = 1-2, by least squares (74 * 2^m + 201
-    bytes per pair), rounded up so that every measurement was at most 96%
-    of the estimate.  Long witnesses grow the text with their total
-    length, 8^n on the n-bit counter: at n = 9 the two peak at 130 MB
-    against 278 MB.  At n = 1 the peak is 1.5-1.6 KB, up to 368 bytes past
-    the other terms on 300 seeded random models with m = 0-3, p = 1-2.
-    The 80 * 2^m term was fitted when the verdict held pair maps; now it
-    over-estimates: at n = 9, m = 3 five seeded random models peak at
-    13-22 MiB (59-101 MiB with pair maps), against an estimate of 225 MB."""
+    """Estimated peak memory of the witness search, the one path that builds
+    the pair space: 4^n * (80 * 2^m + 220) bytes for the pair arrays and
+    sets, plus 8 bytes per witness control for the witness texts, plus 512
+    bytes of fixed allocations.  Fitted to tracemalloc peaks on 24 seeded
+    random models, n = 7-9, m = 0-3, p = 1-2, by least squares (74 * 2^m +
+    201 bytes per pair), rounded up so that every peak was at most 96% of
+    the estimate (at n = 1, 1.5-1.6 KB).  The fit predates the state-class
+    verdict and the streamed report, which hold neither pair maps nor the
+    joined text: at n = 9 the traced peak is now 9-23% of the estimate."""
     return (1 << 2 * n) * (80 * (1 << m) + 220) + 8 * witness_steps + 512
 
 
@@ -239,9 +239,12 @@ class LogicalMatrix(Record):
     def cols(self) -> int:
         return len(self.col_index)
 
-    def to_text(self) -> str:
-        """Canonical form: 'delta <rows> [c1 c2 ... cr]'."""
-        return f"delta {self.rows} [{' '.join(map(str, self.col_index))}]"
+    def write_text(self, out) -> None:
+        """Write the canonical form, 'delta <rows> [c1 c2 ... cr]', to `out`, TEXT_CHUNK indices a write."""
+        out.write(f"delta {self.rows} [")
+        for k in range(0, self.cols, TEXT_CHUNK):
+            out.write((" " if k else "") + " ".join(map(str, self.col_index[k:k + TEXT_CHUNK])))
+        out.write("]")
 
     def __repr__(self) -> str:
         return f"LogicalMatrix(delta_{self.rows}{list(self.col_index)})"
@@ -307,9 +310,9 @@ def algebraic_form(model: NetworkModel, max_vars: int = MAX_FLAT_VARS) -> Algebr
     return AlgebraicForm(n, m, p, L, H)
 
 
-def render_algebraic(form: AlgebraicForm) -> str:
-    """`--emit algebraic` text: header, then L and H in canonical form."""
-    return (
-        f"n={form.n} m={form.m} p={form.p}\n"
-        f"{form.L.to_text()}\n{form.H.to_text()}\n"
-    )
+def render_algebraic(form: AlgebraicForm, out) -> None:
+    """Write the `--emit algebraic` text to `out`: header, then L and H in canonical form."""
+    out.write(f"n={form.n} m={form.m} p={form.p}\n")
+    for mat in (form.L, form.H):
+        mat.write_text(out)
+        out.write("\n")

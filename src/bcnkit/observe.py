@@ -15,11 +15,12 @@ so the verdict and its flags come from `_classes`, a partition refinement
 of the 2^n states into those equivalence classes, and no 4^n array is
 built.  `_search` only writes witnesses: one breadth-first search backward
 from Xi finds every distance and witness step and keeps them in flat
-per-pair arrays; `_walk` follows them from one pair, and `render_report`
-writes every witness from them.  The dense cross-check is
-`paper.dense_verdict_row`.  `check_size` refuses a pair space too large
-for memory before any work, and too many witness controls after the
-search.
+per-pair arrays; `_walk` follows them from one pair.  `render_report`
+writes the report to a stream as it walks Theta per z, each witness from
+those arrays.  The dense cross-check is `paper.dense_verdict_row`.  Only
+the witness search builds the pair space, so only it meets `check_size`'s
+pair-space guard: before the search, and after it for too many witness
+controls.
 """
 
 from __future__ import annotations
@@ -76,10 +77,7 @@ def partition_pairs(form: AlgebraicForm) -> PairPartition:
 def extended_system(form: AlgebraicForm) -> list[tuple[int, tuple[int, ...]]]:
     """The paired system, control j sending (z, x) to (L_j z, L_j x), as
     (j, L_j) per distinct state map in `form.state_maps` order, j its first
-    control.  The identity is left out: it sends every pair to itself.
-    Refuses a model whose pair space would not fit in `compiler.MAX_BYTES`,
-    before any of it is built."""
-    check_size(form.n, form.m, form.p, ("pairs",))
+    control.  The identity is left out: it sends every pair to itself."""
     identity = tuple(range(1, form.state_count + 1))
     return [(j, succ) for succ, j in form.state_maps().items() if succ != identity]
 
@@ -252,11 +250,12 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
     controls."""
     if form.p == 0:
         raise ValueError("observability needs at least one output")
-    ext = extended_system(form)  # its size guard runs first, with or without witnesses
+    ext = extended_system(form)
     outputs = form.H.col_index
     classes = tuple(_classes(ext, outputs))
     arrays = ((),) * 4
     if want_witnesses:
+        check_size(form.n, form.m, form.p, ("pairs",))  # before anything of pair-space size
         dist, via, toward, order = _search(ext, partition_pairs(form))
         check_size(form.n, form.m, form.p, ("pairs",), witness_steps=sum(dist[w] for w in order))
         arrays = map(tuple, (dist, via, toward, order))
@@ -272,46 +271,43 @@ def distinguishing_witness(form: AlgebraicForm, z0: int, x0: int) -> tuple[tuple
     if z0 == x0:
         raise ValueError("witness requires two distinct initial states")
     pair_index(z0, x0, form.n)  # its IndexError, before any pair-space work
-    ext = extended_system(form)  # its size guard must run before partition_pairs allocates O(4^n)
-    dist, via, toward, _ = _search(ext, partition_pairs(form))
+    check_size(form.n, form.m, form.p, ("pairs",))  # before partition_pairs allocates O(4^n)
+    dist, via, toward, _ = _search(extended_system(form), partition_pairs(form))
     return _walk(dist, via, toward, pair_index(min(z0, x0), max(z0, x0), form.n) - 1)
 
 
-def render_report(report: ObservabilityReport, emit: bool = False) -> str:
-    """One line per Theta pair, walked per z from the outputs, then the
-    global verdict and, with `emit` and Theta not empty, the C_S row: the
-    1 x |Theta| flags in `BooleanMatrix.to_text` form.  Without witnesses
-    a flag compares two class ids.
-    Witness texts are built in the search's order, ascending T, each as
-    its control and the text of the pair one step on, every int through
-    one str table; each line then releases its text, so the two are never
-    all held."""
+def render_report(report: ObservabilityReport, out, emit: bool = False) -> None:
+    """Write one line per Theta pair to `out`, walked per z from the
+    outputs, each z's lines before the next z's are built; then the global
+    verdict and, with `emit` and Theta not empty, the C_S row, again per z:
+    the 1 x |Theta| flags in `BooleanMatrix.to_text` form.  A pair the
+    search reached gets its witness, any other pair a flag from two class
+    ids.  Witness texts are built in the search's order, ascending T, each
+    as its control and the text of the pair one step on, every int through
+    one str table; each line releases its text."""
     cls, dist, via, toward, order = report.classes, report.dist, report.via, report.toward, report.order
     nn = 1 << report.n
     top = max(nn, 1 << report.m, dist[order[-1]]) if order else nn  # the largest int written
     names = [str(i) for i in range(top + 1)]
-    lines = []
-    if not order:
+    text = [""] * (nn * nn) if order else ()  # "" in Xi and for pairs the search did not reach
+    for w in order:
+        t = text[toward[w]]
+        text[w] = f"{names[via[w]]},{t}" if t else names[via[w]]
+    flag, size = ("distinguishable\n", "indistinguishable\n"), 0  # indexed by "the two share a class"
+    for z, xs in _theta_rows(report.outputs):
+        head, c, base, lines = f"{{{names[z]},", cls[z - 1], (z - 1) * nn - 1, []
+        size += len(xs)
+        for x in xs:
+            if text and (t := text[w := base + x]):
+                lines.append(f"{head}{names[x]}}} -> distinguishable [witness: u=({t}),T={names[dist[w]]}]\n")
+                text[w] = ""
+            else:
+                lines.append(f"{head}{names[x]}}} -> {flag[cls[x - 1] == c]}")
+        out.write("".join(lines))
+    out.write("verdict: " + ("observable\n" if report.observable else "not observable\n"))
+    if emit and size:
+        out.write(f"1 {size}\n")
         for z, xs in _theta_rows(report.outputs):
-            head, c = f"{{{names[z]},", cls[z - 1]
-            lines += [f"{head}{names[x]}}} -> {'indistinguishable' if cls[x - 1] == c else 'distinguishable'}"
-                      for x in xs]
-    else:
-        text = [""] * (nn * nn)  # "" in Xi and for pairs the search did not reach
-        for w in order:
-            t = text[toward[w]]
-            text[w] = f"{names[via[w]]},{t}" if t else names[via[w]]
-        for z, xs in _theta_rows(report.outputs):
-            head, base = f"{{{names[z]},", (z - 1) * nn - 1
-            for x in xs:
-                w = base + x
-                if t := text[w]:
-                    lines.append(f"{head}{names[x]}}} -> distinguishable [witness: u=({t}),T={names[dist[w]]}]")
-                    text[w] = ""
-                else:
-                    lines.append(f"{head}{names[x]}}} -> indistinguishable")
-        del text  # its 4^n slots, before the join
-    lines.append("verdict: " + ("observable" if report.observable else "not observable"))
-    if emit and (flags := report.flags):
-        lines += [f"1 {len(flags)}", "".join("1" if f else "0" for f in flags)]
-    return "\n".join(lines)
+            c = cls[z - 1]
+            out.write("".join("0" if cls[x - 1] == c else "1" for x in xs))
+        out.write("\n")

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -380,5 +381,7 @@ class TestLogicalMatrix:
 
 class TestSerialization:
     def test_canonical_forms(self):
-        assert LogicalMatrix(2, (1, 2, 2)).to_text() == "delta 2 [1 2 2]"
+        text = io.StringIO()
+        LogicalMatrix(2, (1, 2, 2)).write_text(text)
+        assert text.getvalue() == "delta 2 [1 2 2]"
         assert bm([[1, 0], [0, 1]]).to_text() == "2 2\n10\n01"

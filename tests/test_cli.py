@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -464,6 +466,38 @@ class TestGoldenOutput:
         digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
         assert digest == OBSERVABILITY_DIGESTS[name][list(OBSERVABILITY_FLAGS).index(flags)]
 
+    @pytest.mark.parametrize("flags", list(OBSERVABILITY_FLAGS))
+    def test_report_written_per_z(self, tmp_path, flags):
+        # The report is written as it is walked, each z's lines before the
+        # next z's are built: no write holds more than the longest z's
+        # lines, and the writes join to the pinned bytes.
+        class Recording(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        sizes, sink = [], Recording()
+        with contextlib.redirect_stdout(sink):
+            code = main(["observability", str(_model(tmp_path, "counter7")), *OBSERVABILITY_FLAGS[flags]])
+        out = sink.getvalue()
+        digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        assert digest == OBSERVABILITY_DIGESTS["counter7"][list(OBSERVABILITY_FLAGS).index(flags)]
+        per_z: dict[str, int] = {}
+        for line in out.splitlines(keepends=True):
+            if line.startswith("{"):
+                z = line[1:line.index(",")]
+                per_z[z] = per_z.get(z, 0) + len(line)
+        assert len(per_z) == 126 and max(sizes) <= max(per_z.values()) < len(out) // 50
+
+    @pytest.mark.parametrize("flags", ["plain", "emit"])
+    def test_report_needs_no_pair_budget(self, capsys, tmp_path, monkeypatch, flags):
+        # Only --witness builds the pair space, so a byte budget far below
+        # the 7-bit counter's pair space leaves the plain reports' bytes.
+        monkeypatch.setattr(compiler, "MAX_BYTES", 1000)
+        code, out, _ = run(capsys, "observability", _model(tmp_path, "counter7"), *OBSERVABILITY_FLAGS[flags])
+        digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        assert digest == OBSERVABILITY_DIGESTS["counter7"][list(OBSERVABILITY_FLAGS).index(flags)]
+
     @pytest.mark.parametrize("case, flags", [
         (case, flags) for case in REACH_DIGESTS for flags in REACH_FLAGS
     ], ids=lambda value: "-".join(value) if isinstance(value, tuple) else value)
@@ -709,9 +743,10 @@ class TestExitContract:
         (["controllability", "--emit-matrices"], 16, 1, "dense closure over 2^16 states"),
         (["set-controllability", "--emit-matrices"], 16, 1, "dense closure over 2^16 states"),
         (["output-controllability", "--emit-matrices"], 16, 1, "dense closure over 2^16 states"),
-        (["observability"], 12, 1, "pair space of 2^24 pairs"),
+        # Only --witness builds the pair space: the plain report is admitted.
+        (["observability", "--witness", "--emit-matrices"], 12, 1, "pair space of 2^24 pairs"),
         (["observability", "--witness"], 12, 1, "pair space of 2^24 pairs"),
-        (["observability", "--emit-matrices"], 12, 1, "pair space of 2^24 pairs"),
+        (["observability", "--witness", "--oracle"], 12, 1, "pair space of 2^24 pairs"),
         (["observability", "--oracle"], 11, 1, "distinguishability oracle is limited to 3n+m <= 27"),
         (["output-controllability"], 2, 0, "model declares no outputs; output controllability is undefined"),
         (["observability", "--witness"], 2, 0, "model declares no outputs; observability is undefined"),
@@ -788,13 +823,18 @@ class TestExitContract:
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
-    @pytest.mark.parametrize("argv", [["compile", "toy.bcn"], ["observability", "lac_case2.bcn", "--witness"]],
-                             ids=["compile", "witness"])
-    def test_failed_stdout_write_exits_2(self, argv, sink, unbuffered):
+    @pytest.mark.parametrize("argv", [["compile", "toy.bcn"], ["observability", "lac_case2.bcn", "--witness"],
+                                      ["observability", "counter7.bcn"]],
+                             ids=["compile", "witness", "report"])
+    def test_failed_stdout_write_exits_2(self, tmp_path, argv, sink, unbuffered):
         # A full disk and a pipe whose reader is gone refuse every write.
-        # Buffered, the write fails at the last flush; unbuffered, inside
-        # print.  Either way the run exits 2 with one `error:` line, and
+        # Buffered, a short output fails at the last flush, and the 7-bit
+        # counter's plain report (about 240 KB) once it passes the stdout
+        # buffer, inside `render_report`; unbuffered, the first write
+        # fails.  Either way the run exits 2 with one `error:` line, and
         # shutdown's own flush does not report the failure again.
+        (tmp_path / "counter7.bcn").write_text(counter_text(7))
+        argv = [str(tmp_path / word) if word.startswith("counter") else word for word in argv]
         src = str(Path(observe.__file__).resolve().parent.parent)
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

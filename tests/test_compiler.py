@@ -1,3 +1,4 @@
+import io
 import random
 from types import SimpleNamespace
 
@@ -193,9 +194,25 @@ class TestAlgebraicForm:
         assert a.L == b.L and a.H == b.H
 
     def test_render_header(self, toy_form):
-        out = render_algebraic(toy_form)
+        buf = io.StringIO()
+        render_algebraic(toy_form, buf)
+        out = buf.getvalue()
         assert out.startswith("n=2 m=2 p=1\n")
         assert "delta 4 [" in out and "delta 2 [" in out
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 16, 1 << 16])
+    def test_text_is_written_in_chunks(self, toy_form, monkeypatch, chunk):
+        # However the indices are cut into writes, the text is the one
+        # space-separated line, and no write holds more than one chunk.
+        monkeypatch.setattr(compiler, "TEXT_CHUNK", chunk)
+        writes = []
+        sink = SimpleNamespace(write=writes.append)
+        render_algebraic(toy_form, sink)
+        L, H = toy_form.L.col_index, toy_form.H.col_index
+        assert "".join(writes) == (f"n=2 m=2 p=1\ndelta 4 [{' '.join(map(str, L))}]\n"
+                                   f"delta 2 [{' '.join(map(str, H))}]\n")
+        chunks = [w.split() for w in writes if w.replace(" ", "").isdigit()]
+        assert max(map(len, chunks)) == min(chunk, len(L))
 
 
 class TestStateMaps:

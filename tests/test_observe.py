@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from pathlib import Path
@@ -171,11 +172,14 @@ class TestSizeGuard:
         assert partition_calls == []
 
     def test_thirteen_states_refused(self, partition_calls, tmp_path, capsys):
-        # n = 13: 2^26 pairs, about 24 GiB by the estimate at m = 1.
+        # n = 13: 2^26 pairs, about 24 GiB by the estimate at m = 1.  Only
+        # the witness search builds the pair space: the plain verdict takes
+        # its 2^13 state classes.
         form = algebraic_form(parse_network(counter_text(13)))
         assert compiler.pair_space_bytes(13, 1) > compiler.MAX_BYTES
         with pytest.raises(SizeLimitError, match=r"2\^26 pairs"):
-            observability_verdict(form)
+            observability_verdict(form, want_witnesses=True)
+        assert len(set(observability_verdict(form).classes)) == 8192
         model = tmp_path / "counter13.bcn"
         model.write_text(counter_text(13))
         assert main(["observability", str(model), "--witness"]) == 2
@@ -206,7 +210,7 @@ class TestSizeGuard:
             tracemalloc.start()
             try:
                 report = observability_verdict(form, want_witnesses=True)
-                render_report(report)
+                render_report(report, io.StringIO())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -503,10 +507,16 @@ class TestWitnessChoice:
             assert paper.column(form.H, z) != paper.column(form.H, x)
 
 
+def _rendered(report) -> str:
+    out = io.StringIO()
+    render_report(report, out)
+    return out.getvalue()
+
+
 class TestRendering:
     def test_report_text(self, lac_case2_form):
         report = observability_verdict(lac_case2_form, want_witnesses=True)
-        text = render_report(report)
+        text = _rendered(report)
         assert "{1,2} -> indistinguishable" in text
         assert "{3,4} -> distinguishable [witness: u=(5),T=1]" in text
         assert text.rstrip().endswith("verdict: not observable")
@@ -523,7 +533,7 @@ class TestRendering:
         checked = 0
         for form in forms:
             report = observability_verdict(form, want_witnesses=True)
-            lines = render_report(report).splitlines()
+            lines = _rendered(report).splitlines()
             assert len(lines) == len(report.theta) + 1
             for (z, x), line in zip(report.theta, lines):
                 wit = distinguishing_witness(form, z, x)
