@@ -220,7 +220,6 @@ class LogicalMatrix(Record):
     """delta_rows[c1, ..., cr]: column k is the basis vector with a single 1
     in row col_index[k]."""
 
-    __slots__ = ("rows", "col_index")
     rows: int
     col_index: tuple[int, ...]
 
@@ -268,7 +267,6 @@ class AlgebraicForm(Record):
     no outputs (p = 0), H is the all-ones 1 x 2^n logical matrix.
     """
 
-    __slots__ = ("n", "m", "p", "L", "H")
     n: int
     m: int
     p: int

@@ -40,46 +40,38 @@ class UnboundVariable(Exception):
 
 
 class Const(Record):
-    __slots__ = ("value",)
     value: int
 
 
 class Var(Record):
-    __slots__ = ("name",)
     name: str
 
 
 class Not(Record):
-    __slots__ = ("operand",)
     operand: "Expr"
 
 
 class And(Record):
-    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
 class Or(Record):
-    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
 class Xor(Record):
-    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
 class Implies(Record):
-    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
 
 class Iff(Record):
-    __slots__ = ("left", "right")
     left: "Expr"
     right: "Expr"
 
@@ -189,7 +181,6 @@ _TOKEN = re.compile(
 
 
 class _Tok(Record):
-    __slots__ = ("kind", "text", "col")
     kind: str  # 'name', 'bit' or a punctuation literal
     text: str
     col: int
@@ -276,7 +267,6 @@ def parse_expr(text: str, line_no: int = 1) -> Expr:
 
 
 class NetworkModel(Record):
-    __slots__ = ("name", "states", "inputs", "outputs", "updates", "output_maps")
     name: str
     states: tuple[str, ...]
     inputs: tuple[str, ...]
@@ -297,14 +287,14 @@ class NetworkModel(Record):
         return len(self.outputs)
 
 
-def _split_names(toks: list[_Tok], line: int) -> list[str]:
+def _split_names(toks: list[_Tok], line: int) -> list[_Tok]:
     names = []
     expect_name = True
     for t in toks:
         if expect_name:
             if t.kind != "name":
                 raise NetworkParseError(f"expected identifier, got {t.text!r}", line, t.col)
-            names.append(t.text)
+            names.append(t)
         else:
             if t.kind != ",":
                 raise NetworkParseError(f"expected ',', got {t.text!r}", line, t.col)
@@ -326,7 +316,7 @@ def parse_network(text: str) -> NetworkModel:
 
     pos = 0
 
-    def header(keyword: str, required: bool) -> list[str]:
+    def header(keyword: str, required: bool) -> list[tuple[int, _Tok]]:
         nonlocal pos
         if pos < len(lines):
             no, toks = lines[pos]
@@ -334,7 +324,7 @@ def parse_network(text: str) -> NetworkModel:
                 if len(toks) < 2 or toks[1].kind != ":":
                     raise NetworkParseError(f"expected ':' after {keyword!r}", no, toks[0].col)
                 pos += 1
-                return _split_names(toks[2:], no)
+                return [(no, t) for t in _split_names(toks[2:], no)]
         if required:
             no = lines[pos][0] if pos < len(lines) else lines[-1][0]
             raise NetworkParseError(f"missing {keyword!r} section", no, 1)
@@ -346,63 +336,50 @@ def parse_network(text: str) -> NetworkModel:
     net_name = toks[1].text
     pos += 1
 
-    states = header("states", required=True)
-    inputs = header("inputs", required=False)
-    outputs = header("outputs", required=False)
-
-    all_names = states + inputs + outputs
-    seen: dict[str, None] = {}
-    for nm in all_names:
-        if nm in seen:
-            raise NetworkParseError(f"duplicate variable name {nm!r}", lines[0][0], 1)
-        seen[nm] = None
+    sections = header("states", required=True), header("inputs", required=False), header("outputs", required=False)
+    seen: set[str] = set()
+    for no, t in sections[0] + sections[1] + sections[2]:
+        if t.text in seen:
+            raise NetworkParseError(f"duplicate variable name {t.text!r}", no, t.col)
+        seen.add(t.text)
+    states, inputs, outputs = ([t.text for _, t in section] for section in sections)
 
     updates: dict[str, Expr] = {}
     out_maps: dict[str, Expr] = {}
-    state_set = set(states)
     input_set = set(inputs)
-    output_set = set(outputs)
-
+    # One row per rule kind, keyed by the prime on its target: its word,
+    # what its target must be, the names it may define, its rules and the
+    # names it may read.
+    kinds = {
+        True: ("update", "declared state", states, updates, set(states) | input_set),
+        False: ("output", "declared output", outputs, out_maps, set(states)),
+    }
     for no, toks in lines[pos:]:
         if toks[0].kind != "name":
             raise NetworkParseError(f"expected a rule, got {toks[0].text!r}", no, toks[0].col)
-        target = toks[0].text
-        if len(toks) >= 2 and toks[1].kind == "'":
-            if target not in state_set:
-                raise NetworkParseError(f"{target!r} is not a declared state", no, toks[0].col)
-            if target in updates:
-                raise NetworkParseError(f"duplicate update rule for {target!r}", no, toks[0].col)
-            if len(toks) < 3 or toks[2].kind != "=":
-                raise NetworkParseError("expected '=' in update rule", no, toks[0].col)
-            expr, names = _parse_tokens(toks[3:], no)
-            for v in sorted(names):
-                if v not in state_set and v not in input_set:
-                    raise NetworkParseError(f"unknown variable {v!r} in update rule", no, toks[0].col)
-            updates[target] = expr
-        else:
-            if target not in output_set:
-                kind = "state (missing ' ?)" if target in state_set else "declared output"
-                raise NetworkParseError(f"{target!r} is not a {kind}", no, toks[0].col)
-            if target in out_maps:
-                raise NetworkParseError(f"duplicate output rule for {target!r}", no, toks[0].col)
-            if len(toks) < 2 or toks[1].kind != "=":
-                raise NetworkParseError("expected '=' in output rule", no, toks[0].col)
-            expr, names = _parse_tokens(toks[2:], no)
-            for v in sorted(names):
-                if v in input_set:
-                    raise NetworkParseError(
-                        f"output {target!r} references input {v!r}", no, toks[0].col
-                    )
-                if v not in state_set:
-                    raise NetworkParseError(f"unknown variable {v!r} in output rule", no, toks[0].col)
-            out_maps[target] = expr
+        target, col = toks[0].text, toks[0].col
+        primed = len(toks) >= 2 and toks[1].kind == "'"
+        word, what, targets, rules, reads = kinds[primed]
+        if target not in targets:
+            if target in states:  # an output rule's target, without its prime
+                what = "state (missing ' ?)"
+            raise NetworkParseError(f"{target!r} is not a {what}", no, col)
+        if target in rules:
+            raise NetworkParseError(f"duplicate {word} rule for {target!r}", no, col)
+        if len(toks) < 2 + primed or toks[1 + primed].kind != "=":
+            raise NetworkParseError(f"expected '=' in {word} rule", no, col)
+        expr, names = _parse_tokens(toks[2 + primed:], no)
+        if names - reads:
+            v = min(names - reads)
+            if v in input_set:  # read by an output rule
+                raise NetworkParseError(f"output {target!r} references input {v!r}", no, col)
+            raise NetworkParseError(f"unknown variable {v!r} in {word} rule", no, col)
+        rules[target] = expr
 
-    missing = [s for s in states if s not in updates]
-    if missing:
-        raise NetworkParseError(f"missing update rule for {missing[0]!r}", lines[-1][0], 1)
-    missing = [y for y in outputs if y not in out_maps]
-    if missing:
-        raise NetworkParseError(f"missing output rule for {missing[0]!r}", lines[-1][0], 1)
+    for word, _, targets, rules, _ in kinds.values():
+        for name in targets:
+            if name not in rules:
+                raise NetworkParseError(f"missing {word} rule for {name!r}", lines[-1][0], 1)
 
     return NetworkModel(
         name=net_name,

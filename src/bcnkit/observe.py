@@ -42,7 +42,6 @@ class PairPartition(Record):
     The witness search reads only xi; `paper` builds D and Theta's pair
     indices for the tests."""
 
-    __slots__ = ("n", "outputs", "xi")
     n: int
     outputs: tuple[int, ...]  # H's column per state
     xi: frozenset[int]
@@ -162,7 +161,6 @@ class ObservabilityReport(Record):
     (else empty).  Theta, its flags and its witnesses are derived per z
     from `outputs`, in `partition_pairs`'s order."""
 
-    __slots__ = ("observable", "outputs", "classes", "n", "m", "dist", "via", "toward", "order")
     observable: bool  # every state in a class of its own
     outputs: tuple[int, ...]  # H's column per state
     classes: tuple[int, ...]  # the class id per 0-based state

@@ -20,7 +20,6 @@ from .record import Record
 class StateSet(Record):
     """A subset of the 1..universe state indices; sorted and deduplicated."""
 
-    __slots__ = ("universe", "members")
     universe: int
     members: tuple[int, ...]
 
@@ -38,7 +37,6 @@ class StateSet(Record):
 class SetFamily(Record):
     """An ordered family of state subsets (order fixes index-matrix columns)."""
 
-    __slots__ = ("universe", "sets")
     universe: int
     sets: tuple[StateSet, ...]
 

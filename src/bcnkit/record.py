@@ -1,16 +1,18 @@
 """Immutable value records: the package's one base for plain data types.
 
-A subclass names its fields, in order, in ``__slots__`` (and documents
-their types as class annotations).  A record builds by position or
-keyword, runs ``__post_init__`` when the class defines one, and refuses
-assignment and deletion with ``AttributeError``; ``__post_init__`` may
-normalise a field with ``object.__setattr__``.  Two records are equal
-when they have the same type and equal fields; nested records are
-compared from an explicit stack, so a 3000-deep expression compares
-without recursion.  The hash covers the type and the fields, with each
-nested record replaced by its type, so equal records hash equal and no
-hash recurses.  The repr is ``Name(field=value, ...)``, with nested
-records rendered from an explicit stack as well.
+A subclass names its fields, in order, as class annotations, which the
+metaclass makes its ``__slots__``; a module that defines records starts
+with ``from __future__ import annotations``, which keeps the body's
+annotations a plain dict.  A record builds by position or keyword, runs
+``__post_init__`` when the class defines one, and refuses assignment and
+deletion with ``AttributeError``; ``__post_init__`` may normalise a field
+with ``object.__setattr__``.  Two records are equal when they have the
+same type and equal fields; nested records are compared from an explicit
+stack, so a 3000-deep expression compares without recursion.  The hash
+covers the type and the fields, with each nested record replaced by its
+type, so equal records hash equal and no hash recurses.  The repr is
+``Name(field=value, ...)``, with nested records rendered from an
+explicit stack as well.
 """
 
 from __future__ import annotations
@@ -18,9 +20,15 @@ from __future__ import annotations
 _set_field = object.__setattr__
 
 
-class Record:
-    __slots__ = ()
+class _Fields(type):
+    """Sets each record class's ``__slots__`` to the names its body annotates."""
 
+    def __new__(mcls, name, bases, namespace):
+        namespace["__slots__"] = tuple(namespace.get("__annotations__", ()))
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_Fields):
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
         if kwargs or len(args) != len(fields):

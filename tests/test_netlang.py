@@ -229,6 +229,51 @@ class TestNetworkParsing:
             parse_network(text)
         assert str(info.value) == error
 
+    HEAD = "network b\nstates: x1, x2\ninputs: u1\noutputs: y1\n"
+    # Each check's exact message, line and column, for both rule kinds, and
+    # a repeated name reported where it repeats.
+    RULE_ERRORS = [
+        (HEAD + "x9' = x1\n", "line 5, col 1: 'x9' is not a declared state"),
+        (HEAD + "u1' = x1\n", "line 5, col 1: 'u1' is not a declared state"),
+        (HEAD + "y1' = x1\n", "line 5, col 1: 'y1' is not a declared state"),
+        (HEAD + "  y9 = x1\n", "line 5, col 3: 'y9' is not a declared output"),
+        (HEAD + "u1 = x1\n", "line 5, col 1: 'u1' is not a declared output"),
+        (HEAD + "x2 = x1\n", "line 5, col 1: 'x2' is not a state (missing ' ?)"),
+        (HEAD + "x1' = x1\nx1' = !x1\n", "line 6, col 1: duplicate update rule for 'x1'"),
+        (HEAD + "y1 = x1\ny1 = !x1\n", "line 6, col 1: duplicate output rule for 'y1'"),
+        (HEAD + "x1' = x1\nx1' x1\n", "line 6, col 1: duplicate update rule for 'x1'"),
+        (HEAD + "x1' x1\n", "line 5, col 1: expected '=' in update rule"),
+        (HEAD + "x1'\n", "line 5, col 1: expected '=' in update rule"),
+        (HEAD + "y1 x1\n", "line 5, col 1: expected '=' in output rule"),
+        (HEAD + "y1\n", "line 5, col 1: expected '=' in output rule"),
+        (HEAD + "x1' = = x1\n", "line 5, col 7: unexpected token '='"),
+        (HEAD + "x1' = x9 &\n", "line 5, col 0: unexpected end of expression"),
+        (HEAD + "x1' = x9 | y1\n", "line 5, col 1: unknown variable 'x9' in update rule"),
+        (HEAD + "x1' = y1 & u1\n", "line 5, col 1: unknown variable 'y1' in update rule"),
+        (HEAD + "y1 = x9\n", "line 5, col 1: unknown variable 'x9' in output rule"),
+        (HEAD + "y1 = y1\n", "line 5, col 1: unknown variable 'y1' in output rule"),
+        (HEAD + "y1 = u1\n", "line 5, col 1: output 'y1' references input 'u1'"),
+        (HEAD + "y1 = zz & u1\n", "line 5, col 1: output 'y1' references input 'u1'"),
+        (HEAD + "x1' = x1\n", "line 5, col 1: missing update rule for 'x2'"),
+        (HEAD + "x1' = x1\ny1 = x1\n# end\n\n", "line 6, col 1: missing update rule for 'x2'"),
+        (HEAD + "x1' = x1\nx2' = x1\n", "line 6, col 1: missing output rule for 'y1'"),
+        (HEAD + "y1 = x1\nx2' = x1\n", "line 6, col 1: missing update rule for 'x1'"),
+        ("network t\nstates: x, y\ninputs: u, x\nx' = x\ny' = y\n",
+         "line 3, col 12: duplicate variable name 'x'"),
+        ("# a model\n\nnetwork t\nstates: x, y, x\nx' = x\ny' = y\n",
+         "line 4, col 15: duplicate variable name 'x'"),
+        ("network t\nstates: x\ninputs: u\noutputs: x, u\nx' = x\n",
+         "line 4, col 10: duplicate variable name 'x'"),
+        ("network t\nstates: x, x\ninputs: u,\nx' = x\n", "line 3, col 0: trailing comma"),
+        ("network t\nstates: x, x\noutputs y\nx' = x\n", "line 3, col 1: expected ':' after 'outputs'"),
+    ]
+
+    @pytest.mark.parametrize("text, error", RULE_ERRORS, ids=[error for _, error in RULE_ERRORS])
+    def test_rule_check_messages(self, text, error):
+        with pytest.raises(NetworkParseError) as info:
+            parse_network(text)
+        assert str(info.value) == error
+
     def test_duplicate_rule_rejected(self):
         bad = "network b\nstates: x1\nx1' = x1\nx1' = !x1\n"
         with pytest.raises(NetworkParseError, match="duplicate update"):

@@ -31,6 +31,7 @@ def test_every_record_declares_its_fields():
     }
     for cls in classes:
         assert tuple(cls.__dict__["__annotations__"]) == cls.__dict__["__slots__"], cls
+        assert cls.__dictoffset__ == 0, cls  # no instance __dict__ beside the slots
 
 
 def test_equality_needs_the_same_type():
