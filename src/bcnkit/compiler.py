@@ -13,10 +13,10 @@ column indices through fixed-width lanes, one per column, summed over the
 rules as one int and read back through a typed `memoryview`.  No column
 walks the AST and none is parsed on its own.  `render_algebraic` writes
 L and H to a stream, `TEXT_CHUNK` indices a write, never as one string.
-The brute-force oracle evaluates one assignment at a time with
-`netlang.eval_expr`.  It shares with this module the state index codec
+The brute-force oracle evaluates one assignment at a time with its own
+`oracle.eval_expr`.  It shares with this module the state index codec
 and the node order of `netlang.postorder`, which both evaluators walk,
-but not the operator semantics: each maps every operator to its own code.
+but not the operator semantics: `_BINARY` here, `oracle._EVAL` there.
 """
 
 from __future__ import annotations
@@ -210,7 +210,9 @@ def _columns(exprs: Sequence[Expr], variables: Sequence[str]) -> tuple[int, ...]
     for digit, table in ((0, 0), *enumerate(reversed(tables))):
         lanes[last::-lane] = format(table, f"0{width}b").encode().translate(false)
         total += int.from_bytes(lanes, sys.byteorder) << digit
+    del lanes, tables  # freed before the read-back, which peaks
     data = total.to_bytes(lane * width, sys.byteorder)
+    del total
     if code:
         return tuple(memoryview(data).cast(code))
     return tuple(int.from_bytes(data[i:i + lane], sys.byteorder) for i in range(0, len(data), lane))

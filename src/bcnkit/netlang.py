@@ -19,7 +19,7 @@ states only.  Operator precedence, tightest first:
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 
 from .record import Record
 
@@ -30,10 +30,6 @@ class NetworkParseError(Exception):
         self.message = message
         self.line = line
         self.col = col
-
-
-class UnboundVariable(Exception):
-    pass
 
 
 # -- expression AST ----------------------------------------------------
@@ -111,36 +107,6 @@ def postorder(e: Expr) -> Iterator[Expr]:
             todo += ((node, True), (node.right, False), (node.left, False))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-
-
-#: The oracle's operator semantics, apart from the compiler's bit-sliced ones.
-_EVAL = {
-    And: lambda a, b: a & b,
-    Or: lambda a, b: a | b,
-    Xor: lambda a, b: a ^ b,
-    Implies: lambda a, b: (1 - a) | b,
-    Iff: lambda a, b: 1 - (a ^ b),
-}
-
-
-def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
-    """Evaluate under an assignment of {0,1} to variables."""
-    values: list[int] = []
-    for node in postorder(e):
-        kind = type(node)
-        if kind is Var:
-            try:
-                values.append(env[node.name])
-            except KeyError:
-                raise UnboundVariable(node.name) from None
-        elif kind is Const:
-            values.append(node.value)
-        elif kind is Not:
-            values.append(1 - values.pop())
-        else:
-            b = values.pop()
-            values.append(_EVAL[kind](values.pop(), b))
-    return values.pop()
 
 
 def pretty(e: Expr) -> str:

@@ -17,10 +17,11 @@ built.  `_search` only writes witnesses: one breadth-first search backward
 from Xi finds every distance and witness step and keeps them in flat
 per-pair arrays; `_walk` follows them from one pair.  `render_report`
 writes the report to a stream as it walks Theta per z, each witness from
-those arrays.  The dense cross-check is `paper.dense_verdict_row`.  Only
-the witness search builds the pair space, so only it meets `check_size`'s
-pair-space guard: before the search, and after it for too many witness
-controls.
+those arrays.  `distinguishing_witness` searches forward from its one
+pair instead.  The dense cross-check is `paper.dense_verdict_row`.  Only
+the witness searches reach into the pair space, so only they meet
+`check_size`'s pair-space guard: before the search, and after `_search`
+for too many witness controls.
 """
 
 from __future__ import annotations
@@ -193,11 +194,11 @@ def _search(ext: list[tuple[int, tuple[int, ...]]], part: PairPartition):
     copies' swap maps the pair graph onto itself), under the controls of
     `extended_system`, tried in ascending order: a pair is first reached
     through the smallest control that brings it one step closer, the step
-    of the lexicographically smallest shortest witness.  This is the one
-    place that step rule lives.  Returns dist, item z*2^n + x (0-based,
-    z < x) the pair's distance to Xi, else -1; per reached pair w that
-    control via[w] and the pair toward[w] it leads to; and the reached
-    pairs in ascending T."""
+    of the lexicographically smallest shortest witness (which
+    `distinguishing_witness` finds forward).  Returns dist, item z*2^n + x
+    (0-based, z < x) the pair's distance to Xi, else -1; per reached pair
+    w that control via[w] and the pair toward[w] it leads to; and the
+    reached pairs in ascending T."""
     nn = 1 << part.n
     preimages = _preimages(ext, nn)
     via, toward = [0] * (nn * nn), [0] * (nn * nn)
@@ -262,16 +263,47 @@ def observability_verdict(form: AlgebraicForm, want_witnesses: bool = False) -> 
 
 def distinguishing_witness(form: AlgebraicForm, z0: int, x0: int) -> tuple[tuple[int, ...], int] | None:
     """Lexicographically smallest shortest control sequence whose joint
-    trajectory from (z0, x0) lands in Xi, or None if unreachable: `_walk`
-    follows the search's steps from the pair, taken as z < x (swapping
-    the copies maps witnesses onto witnesses).  A pair already in Xi has
-    distance 0 and yields the empty sequence with T = 0."""
+    trajectory from (z0, x0) lands in Xi, or None if unreachable: a
+    breadth-first search forward from the one pair, taken as z < x
+    (swapping the copies maps witnesses onto witnesses).  Each level is
+    expanded in discovery order and each pair under the maps of
+    `extended_system` by ascending first control, and the first visit
+    wins, so the pairs of a level are found in the order of their
+    smallest paths and the first Xi pair found ends the witness `_search`
+    would give.  A pair already in Xi yields the empty sequence, T = 0."""
     if z0 == x0:
         raise ValueError("witness requires two distinct initial states")
     pair_index(z0, x0, form.n)  # its IndexError, before any pair-space work
-    check_size(form.n, form.m, form.p, ("pairs",))  # before partition_pairs allocates O(4^n)
-    dist, via, toward, _ = _search(extended_system(form), partition_pairs(form))
-    return _walk(dist, via, toward, pair_index(min(z0, x0), max(z0, x0), form.n) - 1)
+    check_size(form.n, form.m, form.p, ("pairs",))  # the search may reach every pair
+    outputs, nn = form.H.col_index, form.state_count
+    z0, x0 = min(z0, x0), max(z0, x0)
+    if outputs[z0 - 1] != outputs[x0 - 1]:
+        return (), 0
+    ext = extended_system(form)
+    came: dict[int, tuple[int, int] | None] = {(z0 - 1) * nn + x0: None}  # pair_index -> (from, control)
+    level = [(z0, x0)]
+    while level:
+        found = []
+        for z, x in level:
+            here = (z - 1) * nn + x
+            for j, succ in ext:
+                a, b = succ[z - 1], succ[x - 1]
+                if a == b:  # the diagonal never leaves itself
+                    continue
+                if a > b:
+                    a, b = b, a
+                if (w := (a - 1) * nn + b) in came:
+                    continue
+                came[w] = here, j
+                if outputs[a - 1] != outputs[b - 1]:
+                    controls = []
+                    while (step := came[w]) is not None:
+                        w, j = step
+                        controls.append(j)
+                    return tuple(reversed(controls)), len(controls)
+                found.append((a, b))
+        level = found
+    return None
 
 
 def render_report(report: ObservabilityReport, out, emit: bool = False) -> None:

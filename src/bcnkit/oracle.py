@@ -1,19 +1,20 @@
 """Brute-force ground truth, independent of the matrix machinery.
 
 Everything here simulates the model's expression ASTs directly, one
-assignment at a time with `netlang.eval_expr`, and explores explicit
-graphs by breadth-first search.  The compiler tabulates rules with its
-own bit-sliced evaluator.  The two share the state index codec, the
-`SizeLimitError` type (re-exported here) and the node order of
-`netlang.postorder`, but each maps every operator to its own code, so
-agreement between them is meaningful evidence rather than
-self-confirmation.
+assignment at a time with this module's `eval_expr`, and explores
+explicit graphs by breadth-first search.  The compiler tabulates rules
+with its own bit-sliced evaluator.  The two share the state index codec,
+the `SizeLimitError` type (re-exported here) and the node order of
+`netlang.postorder`, but each maps every operator to its own code in a
+table beside its engine (`_EVAL` here, `compiler._BINARY` there), so
+agreement between them is evidence rather than self-confirmation.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Mapping
 
 from .compiler import SizeLimitError, check_size, decode_state, encode_state
 from .netlang import (
@@ -27,8 +28,42 @@ from .netlang import (
     Or,
     Var,
     Xor,
-    eval_expr,
+    postorder,
 )
+
+
+class UnboundVariable(Exception):
+    pass
+
+
+#: The oracle's operator semantics, apart from the compiler's bit-sliced ones.
+_EVAL = {
+    And: lambda a, b: a & b,
+    Or: lambda a, b: a | b,
+    Xor: lambda a, b: a ^ b,
+    Implies: lambda a, b: (1 - a) | b,
+    Iff: lambda a, b: 1 - (a ^ b),
+}
+
+
+def eval_expr(e: Expr, env: Mapping[str, int]) -> int:
+    """Evaluate under an assignment of {0,1} to variables."""
+    values: list[int] = []
+    for node in postorder(e):
+        kind = type(node)
+        if kind is Var:
+            try:
+                values.append(env[node.name])
+            except KeyError:
+                raise UnboundVariable(node.name) from None
+        elif kind is Const:
+            values.append(node.value)
+        elif kind is Not:
+            values.append(1 - values.pop())
+        else:
+            b = values.pop()
+            values.append(_EVAL[kind](values.pop(), b))
+    return values.pop()
 
 
 def _step(model: NetworkModel, state: int, control: int) -> int:

@@ -7,6 +7,15 @@ from bcnkit.netlang import parse_network
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
+try:
+    from hypothesis import settings
+except ImportError:  # a test extra: only the tests that use it need it
+    pass
+else:
+    # `pytest --hypothesis-profile fuzz`: the long run of the generated-input
+    # fuzz, CI's own step; tier-1 keeps Hypothesis's default of 100 examples.
+    settings.register_profile("fuzz", max_examples=5000)
+
 
 def load_model(name):
     return parse_network((MODELS / name).read_text())

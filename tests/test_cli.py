@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -552,6 +554,54 @@ LONG_WORDS = {
     "value on a flag": ["observability", TOY, "--witness=" + LONG],
 }
 
+#: Each command line that `--help` follows in `TestUsage.test_help`.
+HELP_ARGV = [[], ["compile"], ["controllability"], ["set-controllability"], ["output-controllability"],
+             ["observability"]]
+
+#: Every usage error above and every --help line, by id: the sha256 of
+#: "<exit>\n<stdout>\n<stderr>", run from the repository root with the
+#: models given relative to it, so that no checkout path is quoted.
+USAGE_ARGV = {
+    **{f"rejected: {name}": argv for name, argv in REJECTED.items()},
+    **{f"long word: {name}": argv for name, argv in LONG_WORDS.items()},
+    **{" ".join(["bcn", *argv, "--help"]): [*argv, "--help"] for argv in HELP_ARGV},
+}
+USAGE_DIGESTS = {
+    "rejected: no arguments": "71aa22a803017e35df4d49ed57cef2cd4d5bbea641cc5abdbff28c1c403dc0e9",
+    "rejected: unknown command": "9427bf19e9b5fed6221597ea4a666148e986b793106fa7dc5ddda518b6cbcaf2",
+    "rejected: unknown option": "f0abe6ff014741bcea8acad3da8f007a59477b60b6d06fa493e13dddf43d7776",
+    "rejected: missing model": "2679c14662a268ee60e8857faf2fd924c9349216ebe90ccea26b129a9b053d38",
+    "rejected: missing model, options only": "8a757779f1d73d46921fc773a37d2b9ac0d003fc959e44ed9c4dfc2c03e5a454",
+    "rejected: missing --sets": "bfe502cc3fac1dbf1ad110a866f20c12043a4f50d4b55250be0adb213a431279",
+    "rejected: --max-size abc": "4c7a4945394784bed144d499c4ebde03e92b9deceab9fd2a368f691867d538ce",
+    "rejected: --max-size 0": "9ce17ca76d74160660352e4d89f730a781157d3dbe65b8c985857c2a0706c90d",
+    "rejected: --max-size -5": "d45cf59ddb6809363848d77331a2ab856672e33e7c7a8f10e0194762e99788ff",
+    "rejected: --max-size=-5": "d45cf59ddb6809363848d77331a2ab856672e33e7c7a8f10e0194762e99788ff",
+    "rejected: --max-size without value": "a4dcb66866203d94c98b7dc5cbe12faf95bbf1d2da8dab5ac100079f9335893f",
+    "rejected: --emit bogus": "563efe9fce344e8a975f911493e400cde203a44f4828544fb70aba93b4a7ef67",
+    "rejected: value on a flag": "e51f3c4030c9b959acfd8d881d709b693988c990e620093d96ff1a9066032e82",
+    "rejected: flag of another command": "0ca2555f9ecc40df8b649f8dea02b9fdc9e3c0b367bc88a007a4c172f089dfd9",
+    "rejected: two models": "68d08dcc1ec2db32dbf6b8d4668a3e36d1da69170f80e0d1eadf9bcf9d2fcb61",
+    "rejected: option after --": "78b90b5651c2c99dbdd556bc112dee02ddbef3719b6f06f56c0d7411c70c7a72",
+    "rejected: -- after an option's value": "a6bed587199155fad727a5c3578f9daa145dba119dcdc93fd551aa2505d52558",
+    "rejected: option before the command": "5319303dd3be7426da5748376a2e61287d59e28842251ceb81ed992d39272959",
+    "rejected: abbreviated command": "1057650a8a1c814677799ef5f15efe50d45b106ece5f0d5af402ed1fff61973b",
+    "rejected: error before -h": "4c7a4945394784bed144d499c4ebde03e92b9deceab9fd2a368f691867d538ce",
+    "long word: unknown option": "5f43ebabb2893d9ca0e958de32e4caaf5cf5ca087860846bf1ce4e2cd81c3aac",
+    "long word: unknown command": "949777544a81166d499dc598cb77d1004f0cf221bf0490e8f4d16c2c6bb67ac5",
+    "long word: ambiguous prefix": "60a510070b346da2208a72c2e416af0f6ecc9c7e26122673398e78cf033b7ec9",
+    "long word: --max-size not an int": "f9ebcf800d137b3671061b1ca55e9bd6ca8f5e3f9c945385b0f38d2156fad5e2",
+    "long word: --max-size not positive": "6b26ddd28097fdc623cd66e9f6b319d67ddcf8f3b869e605ba215631232bfaae",
+    "long word: --emit bad value": "815b2c25f43fc0378a47348270a41d15db05534eb8568f4381ee78e68e7e4291",
+    "long word: value on a flag": "9dbd556a68d64e889bc3c1b742afb9759bb1fefc84c49623b5c27c7d3d209720",
+    "bcn --help": "51720dfe27490a13af11799afe4e5d42c2b4473a8fcf19032b8c240fb852c315",
+    "bcn compile --help": "2e93cfc1af4f404af1d389be99bb1c62ca7f528b4736d2aa99e817ca40ac685a",
+    "bcn controllability --help": "5bd3c7bbd0129a359b21dbfc75c2f5824295b53f471df4f80cd5f17649121a54",
+    "bcn set-controllability --help": "c6c6fc17e6c3be39ff8ce552706f9da16bd3b62193f0ab891986e3f95f7bcc0f",
+    "bcn output-controllability --help": "83bd266a599431097459fd150914b0cff0a9cfeca49e710b2276a4369862e12a",
+    "bcn observability --help": "f78aaa5676ddd5a2c35080e9e9e5608ebffd45cb4b8625b336449359cd6f9161",
+}
+
 #: Other spellings of a command line: each must give the same exit code
 #: and stdout as the canonical spelling it is paired with.
 ACCEPTED = {
@@ -597,6 +647,51 @@ def _words():
     return st.lists(st.one_of(word, prefix, attached), max_size=6)
 
 
+#: The values an option's draw picks from: mostly admitted, then refused.
+FUZZ_VALUES = {"--max-size": ("20", "9", "6", "1", "0", "abc"), "--emit": ("algebraic", "algebraic", "dot")}
+
+#: Characters a model or set-spec edit writes: the grammar's and JSON's
+#: punctuation, bits, name starts, blanks, a newline and a non-ASCII letter.
+EDIT_CHARS = "!&|^()-<>=',:#01xuy_ \n{}[]\"é9"
+
+
+def _edited(text: str, edits) -> str:
+    """text after each edit (kind, i, j, c): "replace", "insert" or "delete"
+    at character i (c the new character); "swap" lines i and j, or "drop"
+    line i (indices taken modulo the length)."""
+    for kind, i, j, c in edits:
+        if kind in ("swap", "drop"):
+            lines = text.splitlines(keepends=True)
+            if lines:
+                i, j = i % len(lines), j % len(lines)
+                if kind == "swap":
+                    lines[i], lines[j] = lines[j], lines[i]
+                else:
+                    del lines[i]
+            text = "".join(lines)
+        else:
+            i %= len(text) + 1
+            text = text[:i] + (c if kind != "delete" else "") + text[i + (kind != "insert"):]
+    return text
+
+
+def _fuzz_inputs():
+    """(seed, n, m, p, model edits, set spec text or None, command, option
+    draws: (which of the command's options, which of its values))."""
+    from hypothesis import strategies as st
+    edit = st.tuples(st.sampled_from(["replace", "insert", "delete", "swap", "drop"]), st.integers(0, 400),
+                     st.integers(0, 40), st.sampled_from(EDIT_CHARS))
+    edits = st.lists(edit, max_size=3)
+    family = st.lists(st.fixed_dictionaries({"states": st.lists(st.integers(0, 18), max_size=3)}),
+                      min_size=1, max_size=2)
+    spec = st.fixed_dictionaries({"initial": family, "destination": family}).map(json.dumps)
+    spec = st.one_of(spec, st.none(), st.tuples(spec, edits.filter(bool)).map(lambda t: _edited(*t)))
+    command = st.sampled_from(list(cli.COMMANDS))
+    options = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)), max_size=4)
+    return st.tuples(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2),
+                     st.just(()) | edits, spec, command, options)
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -604,9 +699,7 @@ class TestUsage:
     def test_missing_required_sets(self, capsys):
         assert main(["set-controllability", str(MODELS / "toy.bcn")]) == 2
 
-    @pytest.mark.parametrize("argv", [[], ["compile"], ["controllability"], ["set-controllability"],
-                                      ["output-controllability"], ["observability"]],
-                             ids=lambda argv: " ".join(["bcn", *argv]))
+    @pytest.mark.parametrize("argv", HELP_ARGV, ids=lambda argv: " ".join(["bcn", *argv]))
     def test_help(self, capsys, argv):
         # --help is answered before a command imports its engine.
         code, out, err = run(capsys, *argv, "--help")
@@ -618,6 +711,13 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: bcn") and [line for line in err.splitlines() if "error:" in line], err
+
+    @pytest.mark.parametrize("name", USAGE_ARGV)
+    def test_usage_bytes(self, capsys, monkeypatch, name):
+        monkeypatch.chdir(MODELS.parent)
+        argv = [word.replace(f"{MODELS.parent}{os.sep}", "") for word in USAGE_ARGV[name]]
+        code, out, err = run(capsys, *argv)
+        assert hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest() == USAGE_DIGESTS[name], (code, out, err)
 
     @pytest.mark.parametrize("argv", LONG_WORDS.values(), ids=LONG_WORDS)
     def test_long_word_is_cut(self, capsys, argv):
@@ -659,6 +759,53 @@ class TestUsage:
 class TestExitContract:
     """An input the engine cannot handle must exit 2, never 1 ("fails"),
     and a valid one must not be refused."""
+
+    def test_fuzz_generated_models(self, tmp_path, monkeypatch):
+        # A seeded random model, written as `.bcn` text and given up to
+        # three edits, with a set spec that is valid, edited or missing,
+        # under each command and options drawn from its own: the exit code
+        # is 0, 1 or 2, no fault escapes as an internal error, exit 2
+        # prints nothing on stdout, and every stderr line stays under 120
+        # characters.  Tier-1 runs the default profile; CI also runs it
+        # under the longer "fuzz" profile of conftest.py.
+        from hypothesis import given, seed, settings
+
+        from bcnkit.netlang import format_network
+        from bcnkit.oracle import random_model
+
+        # An error line quotes the model path as given: short names keep
+        # it to what the program adds.
+        monkeypatch.chdir(tmp_path)
+        model, sets = Path("model.bcn"), Path("sets.json")
+
+        @seed(20261022)
+        @settings(deadline=None, database=None)
+        @given(_fuzz_inputs())
+        def check(inputs):
+            number, n, m, p, edits, spec, command, options = inputs
+            text = _edited(format_network(random_model(random.Random(number), n, m, p)), edits)
+            model.write_text(text, encoding="utf-8")
+            sets.unlink(missing_ok=True)
+            if spec is not None:
+                sets.write_text(spec, encoding="utf-8")
+            names = cli.COMMANDS[command][4]
+            argv = [command, str(model)]
+            for k, v in options:
+                option = names[k % len(names)]
+                argv.append(option)
+                if option == "--sets":
+                    argv.append(str(sets))
+                elif option in FUZZ_VALUES:
+                    argv.append(FUZZ_VALUES[option][v % len(FUZZ_VALUES[option])])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, text, spec, code)
+            assert "internal error:" not in err.getvalue(), (argv, text, spec, err.getvalue())
+            assert code != 2 or out.getvalue() == "", (argv, text, spec)
+            assert all(len(line) < 120 for line in err.getvalue().splitlines()), (argv, text, spec, err.getvalue())
+
+        check()
 
     def test_very_long_rule(self, capsys, tmp_path):
         # A flat chain is parsed and compiled without recursion, to the

@@ -15,7 +15,8 @@ from bcnkit.compiler import (
     render_algebraic,
     structure_matrix,
 )
-from bcnkit.netlang import And, Const, NetworkModel, Not, Or, Var, Xor, eval_expr, parse_expr, parse_network
+from bcnkit.netlang import And, Const, NetworkModel, Not, Or, Var, Xor, parse_expr, parse_network
+from bcnkit.oracle import eval_expr
 from conftest import counter_text
 
 # Transcription of the lac-operon transition matrix (64 column indices):

@@ -15,17 +15,15 @@ from bcnkit.netlang import (
     NetworkParseError,
     Not,
     Or,
-    UnboundVariable,
     Var,
     Xor,
-    eval_expr,
     format_network,
     parse_expr,
     parse_network,
     postorder,
     pretty,
 )
-from bcnkit.oracle import random_model
+from bcnkit.oracle import UnboundVariable, eval_expr, random_model
 
 TOY = """\
 network toy

@@ -23,27 +23,6 @@ from bcnkit.reach import controllability_matrix, one_step_matrix
 from conftest import counter_text
 
 
-def _memoise_per_form(monkeypatch):
-    """Compute the paired system, the partition and the search once per form
-    object: each memo is keyed by the identity of the arguments, so a call
-    hashes none of the 4^n-long tuples, and it keeps the arguments alive,
-    so no identity is reused."""
-    for name in ("extended_system", "partition_pairs", "_search"):
-        monkeypatch.setattr(observe, name, _by_identity(getattr(observe, name)))
-
-
-def _by_identity(fn):
-    memo = {}
-
-    def memoised(*args):
-        key = tuple(map(id, args))
-        if key not in memo:
-            memo[key] = args, fn(*args)
-        return memo[key][1]
-
-    return memoised
-
-
 class TestPairIndex:
     def test_known_values(self):
         assert pair_index(2, 4, 3) == 12
@@ -369,14 +348,29 @@ class TestWitness:
             assert paper.column(form.H, z) != paper.column(form.H, x)
             assert t == len(controls)
 
-    def test_verdict_agrees_with_single_pair_walks(self, monkeypatch):
+    def test_forward_search_matches_backward_walk(self):
+        # distinguishing_witness searches forward from its one pair, the
+        # verdict's `_search` backward from Xi: both must give the same
+        # witness, or None, for every ordered pair of distinct states.
+        rng = random.Random(16)
+        models = [parse_network(counter_text(n)) for n in range(1, 7)]
+        models += [random_model(rng, rng.randint(1, 6), rng.randint(0, 2), rng.randint(1, 2)) for _ in range(40)]
+        checked = 0
+        for model in models:
+            form = algebraic_form(model)
+            nn = form.state_count
+            dist, via, toward, _ = observe._search(extended_system(form), partition_pairs(form))
+            for z, x in itertools.permutations(range(1, nn + 1), 2):
+                w = pair_index(min(z, x), max(z, x), form.n) - 1
+                assert distinguishing_witness(form, z, x) == observe._walk(dist, via, toward, w), (model.name, z, x)
+                checked += dist[w] > 1
+        assert checked > 1000
+
+    def test_verdict_agrees_with_single_pair_walks(self):
         # The verdict continues each witness with that of the representative
         # one step closer to Xi, swapping the copies where z > x;
-        # distinguishing_witness walks its one pair, in either orientation.
-        # The pair maps, partition and distances depend only on the form, so
-        # they are computed once per form here and each call costs only its
-        # walk (about 0.5 s in all, 40 s without).
-        _memoise_per_form(monkeypatch)
+        # distinguishing_witness searches from its one pair, in either
+        # orientation.
         rng = random.Random(8)
         forms = [algebraic_form(parse_network(counter_text(6)))]
         for _ in range(200):
@@ -521,11 +515,10 @@ class TestRendering:
         assert "{3,4} -> distinguishable [witness: u=(5),T=1]" in text
         assert text.rstrip().endswith("verdict: not observable")
 
-    def test_witness_text_matches_single_pair_walks(self, monkeypatch):
+    def test_witness_text_matches_single_pair_walks(self):
         # render_report writes each witness from the report's steps, never
         # from the (controls, T) tuples: every Theta line must carry the
-        # text of the witness distinguishing_witness walks for its pair.
-        _memoise_per_form(monkeypatch)
+        # text of the witness distinguishing_witness finds for its pair.
         rng = random.Random(11)
         forms = [algebraic_form(parse_network(counter_text(6)))]
         for _ in range(100):
